@@ -10,8 +10,8 @@ import (
 	"aecodes"
 )
 
-// TestArchiveContextFirstRoundTrip pins the ctx-first constructors as a
-// drop-in for the deprecated ArchiveOptions.Context field.
+// TestArchiveContextFirstRoundTrip pins the ctx-first constructors'
+// round trip.
 func TestArchiveContextFirstRoundTrip(t *testing.T) {
 	code, err := aecodes.New(archiveParams(), archiveParamsBlock)
 	if err != nil {

@@ -53,14 +53,14 @@
 // lines (one metric per line, histograms as count/mean/p50/p90/p99/
 // p999), "/metrics.json" the versioned JSON snapshot — the same
 // document the OpMetrics transport frame carries, so curl and
-// Client.Metrics always agree. The announcement line is "aestored
+// PoolClient.Metrics always agree. The announcement line is "aestored
 // metrics on <addr>".
 //
 // With -idletimeout set, connections idle longer than that are dropped
 // so abandoned broker connections cannot pin sockets forever. It
-// defaults to off: a reaped connection permanently poisons a plain
-// transport.Client (only the pool client redials), so only enable it
-// for nodes whose peers use transport.PoolClient.
+// defaults to off: a reaped connection fails a peer that does not
+// redial, so only enable it for nodes whose peers use
+// transport.PoolClient, which redials transparently.
 //
 // With -cluster set to a cluster manager's address, the node joins the
 // fleet: it announces itself to the manager with periodic OpNodeStat

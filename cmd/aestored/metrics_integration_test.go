@@ -64,7 +64,7 @@ func startAestoredMetrics(t *testing.T, bin string, args ...string) (addr, metri
 // TestMetricsEndToEnd drives a real aestored process — durable store,
 // background scrub, metrics endpoint — with ordinary traffic and then
 // reads the node's own accounting back two ways: the OpMetrics
-// transport frame (Client.Metrics) and the -metricsaddr HTTP endpoint.
+// transport frame (PoolClient.Metrics) and the -metricsaddr HTTP endpoint.
 // Both must agree that the transport served the ops, the segment store
 // appended the bytes, and the maintenance scheduler made progress.
 func TestMetricsEndToEnd(t *testing.T) {
@@ -77,7 +77,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		"-data", filepath.Join(dir, "data"), "-scrubrate", "1048576")
 
 	ctx := context.Background()
-	c, err := transport.Dial(addr)
+	c, err := transport.DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,9 +294,9 @@ func (r *Router) dialNode(addr, tenant string) (cooperative.NodeStore, error) {
 }
 
 // SetCredential implements cooperative.CredentialRouter: announce the
-// tenant on every live node connection and carry it on future dials.
-// On partial failure the nodes already switched roll back to the
-// previous credential (best-effort), and new dials revert too.
+// tenant on every live node connection (cooperative.AnnounceCredential)
+// and carry it on future dials. On failure the nodes roll back to the
+// previous credential, and new dials revert too.
 func (r *Router) SetCredential(ctx context.Context, tenant, previous string) error {
 	r.mu.Lock()
 	r.tenant = tenant
@@ -305,22 +305,11 @@ func (r *Router) SetCredential(ctx context.Context, tenant, previous string) err
 		pools = append(pools, ns)
 	}
 	r.mu.Unlock()
-	for i, ns := range pools {
-		hn, ok := ns.(cooperative.HelloNodeStore)
-		if !ok {
-			continue
-		}
-		if err := hn.Hello(ctx, tenant); err != nil {
-			r.mu.Lock()
-			r.tenant = previous
-			r.mu.Unlock()
-			for j := 0; j < i; j++ {
-				if prev, ok := pools[j].(cooperative.HelloNodeStore); ok {
-					prev.Hello(ctx, previous)
-				}
-			}
-			return fmt.Errorf("cluster: announcing credential: %w", err)
-		}
+	if err := cooperative.AnnounceCredential(ctx, pools, tenant, previous); err != nil {
+		r.mu.Lock()
+		r.tenant = previous
+		r.mu.Unlock()
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }

@@ -8,8 +8,8 @@
 // p-block per strand), and uploads the α parities of every block to storage
 // nodes chosen by hashing the block key. The lower tier is any set of
 // NodeStore implementations — in-memory nodes for tests and simulations, or
-// transport.Client / transport.PoolClient values for real TCP storage
-// nodes (both satisfy BatchNodeStore directly).
+// transport.PoolClient values for real TCP storage nodes (which satisfy
+// BatchNodeStore directly).
 //
 // Repair follows Table III: to regenerate a parity lost with a faulty node,
 // the broker obtains the dp-tuple ids from the lattice, chooses a p-block,
@@ -43,8 +43,8 @@ import (
 // errors.Is works with either across every backend.
 var ErrNotFound = fmt.Errorf("cooperative: %w", store.ErrNotFound)
 
-// NodeStore is one remote storage node. transport.Client satisfies this
-// interface; InMemoryNode provides a local test double.
+// NodeStore is one remote storage node. transport.PoolClient satisfies
+// this interface; InMemoryNode provides a local test double.
 type NodeStore interface {
 	// Get fetches a block; implementations return ErrNotFound (or any
 	// error) when the block is unavailable.
@@ -56,9 +56,9 @@ type NodeStore interface {
 }
 
 // BatchNodeStore is an optional NodeStore extension for bulk transfers.
-// transport.Client and transport.PoolClient both provide it; nodes that
-// implement it let the broker move a whole encode batch or repair round
-// in one request frame per node instead of one round-trip per block.
+// transport.PoolClient provides it; nodes that implement it let the
+// broker move a whole encode batch or repair round in one request frame
+// per node instead of one round-trip per block.
 type BatchNodeStore interface {
 	NodeStore
 	// GetMany returns one entry per key in order; missing blocks are nil.
@@ -71,10 +71,10 @@ type BatchNodeStore interface {
 
 // StatNodeStore is an optional NodeStore extension for presence-only
 // enumeration: which of these keys do you hold, one flag per key, no
-// block contents on the wire. transport.Client and transport.PoolClient
-// both provide it; over nodes that do, the broker's missing-block
-// enumeration stops fetching (and discarding) whole blocks, leaving the
-// repair engine's round prefetch as the only content transfer.
+// block contents on the wire. transport.PoolClient provides it; over
+// nodes that do, the broker's missing-block enumeration stops fetching
+// (and discarding) whole blocks, leaving the repair engine's round
+// prefetch as the only content transfer.
 type StatNodeStore interface {
 	NodeStore
 	// StatMany returns one entry per key in order: true when the node
@@ -85,7 +85,7 @@ type StatNodeStore interface {
 // HelloNodeStore is an optional NodeStore extension for the tenant
 // handshake: a broker with a credential announces it to every capable
 // node so its keys land in (and read from) its own namespace.
-// transport.Client and transport.PoolClient both provide it.
+// transport.PoolClient provides it.
 type HelloNodeStore interface {
 	NodeStore
 	// Hello switches the connection(s) behind this node to the tenant's
@@ -386,9 +386,8 @@ func NewRoutedBroker(user string, params lattice.Params, blockSize int, router R
 // namespace on shared storage nodes, under whatever quota the node
 // grants that tenant. Nodes that do not speak the handshake are left
 // untouched. When any node refuses the credential, the nodes already
-// switched are rolled back to the broker's previous credential
-// (best-effort — a node that fails the rollback too is left to its
-// pool's redial path, which handshakes the current credential) and the
+// switched and the refusing node are rolled back to the broker's
+// previous credential (best-effort, see AnnounceCredential) and the
 // call fails with the broker's credential unchanged: the lattice is
 // never left split across namespaces. An over-quota upload later
 // surfaces as an error wrapping store.ErrQuotaExceeded — the broker
@@ -675,7 +674,7 @@ func (b *Broker) RepairParity(ctx context.Context, e lattice.Edge) (string, erro
 // anything: data blocks the user's machine lost, and parities no
 // storage node currently serves (enumerated presence-only over nodes
 // that support it). It is the health probe behind "do I need to run
-// RepairLattice" — cheap enough to poll, since no block contents move.
+// Repair" — cheap enough to poll, since no block contents move.
 func (b *Broker) Missing(ctx context.Context) (store.Missing, error) {
 	return b.netStore().Missing(ctx)
 }
@@ -701,14 +700,6 @@ func (b *Broker) Health(ctx context.Context) (entangle.Health, error) {
 	return b.rep.Health(ctx, b.netStore(), count)
 }
 
-// RepairLattice runs round-based repair over the user's whole lattice.
-//
-// Deprecated: use Repair with zero entangle.Options, which also admits
-// rate limits and scoped targets.
-func (b *Broker) RepairLattice(ctx context.Context) (entangle.Stats, error) {
-	return b.Repair(ctx, entangle.Options{})
-}
-
 // RecoverOptions configures RecoverState.
 type RecoverOptions struct {
 	// Count is how many blocks had been backed up before the crash.
@@ -716,14 +707,6 @@ type RecoverOptions struct {
 	// Local holds the data blocks still present on the user's machine,
 	// keyed by position. The broker copies them.
 	Local map[int][]byte
-}
-
-// Recover rebuilds a broker's encoder state after a crash.
-//
-// Deprecated: use RecoverState, which takes the same values as an
-// options struct shared with the other repair entrypoints.
-func (b *Broker) Recover(ctx context.Context, count int, local map[int][]byte) error {
-	return b.RecoverState(ctx, RecoverOptions{Count: count, Local: local})
 }
 
 // RecoverState rebuilds a broker's encoder state after a crash: the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 )
 
@@ -211,7 +212,7 @@ func TestRepairParityTableIIIFlow(t *testing.T) {
 	}
 }
 
-func TestRepairLatticeAfterNodeWipe(t *testing.T) {
+func TestRepairAfterNodeWipe(t *testing.T) {
 	nodes, mems := newNetwork(7)
 	b := newBroker(t, nodes)
 	backupRandom(t, b, 60, 7)
@@ -223,7 +224,7 @@ func TestRepairLatticeAfterNodeWipe(t *testing.T) {
 	if lost == 0 {
 		t.Skip("placement put nothing on node 3 for this seed")
 	}
-	stats, err := b.RepairLattice(bg)
+	stats, err := b.Repair(bg, entangle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +290,8 @@ func TestBrokerCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := second.Recover(bg, 25, localCopy); err != nil {
-		t.Fatalf("Recover: %v", err)
+	if err := second.RecoverState(bg, RecoverOptions{Count: 25, Local: localCopy}); err != nil {
+		t.Fatalf("RecoverState: %v", err)
 	}
 	for _, data := range blocks[25:] {
 		if _, err := second.Backup(bg, data); err != nil {
@@ -443,7 +444,7 @@ func TestBackupValidatesSize(t *testing.T) {
 func TestRecoverValidation(t *testing.T) {
 	nodes, _ := newNetwork(2)
 	b := newBroker(t, nodes)
-	if err := b.Recover(bg, -1, nil); err == nil {
-		t.Error("Recover accepted negative count")
+	if err := b.RecoverState(bg, RecoverOptions{Count: -1}); err == nil {
+		t.Error("RecoverState accepted negative count")
 	}
 }

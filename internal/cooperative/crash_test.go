@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"aecodes/internal/cooperative"
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
 	"aecodes/internal/segstore"
 	"aecodes/internal/store"
@@ -291,7 +292,7 @@ func TestRepairAfterSIGKILLReadsPersistedBlocks(t *testing.T) {
 	}
 	b.DropLocal(dropped...)
 
-	stats, err := b.RepairLattice(ctx)
+	stats, err := b.Repair(ctx, entangle.Options{})
 	if err != nil {
 		t.Fatalf("repair against restarted node: %v", err)
 	}

@@ -43,6 +43,32 @@ type CredentialRouter interface {
 	SetCredential(ctx context.Context, tenant, previous string) error
 }
 
+// AnnounceCredential is the announce-and-roll-back step every
+// CredentialRouter shares: it handshakes tenant on each node that speaks
+// the handshake, in order. When a node refuses, every node up to and
+// including the refusing one is handshaked back to previous — the
+// refusing node too, because a pool that refused has already adopted
+// the new credential for its redials and dropped its live connections.
+// Rollback is best-effort: a node that fails it as well is left to its
+// pool's redial path.
+func AnnounceCredential(ctx context.Context, nodes []NodeStore, tenant, previous string) error {
+	for i, n := range nodes {
+		hn, ok := n.(HelloNodeStore)
+		if !ok {
+			continue
+		}
+		if err := hn.Hello(ctx, tenant); err != nil {
+			for _, m := range nodes[:i+1] {
+				if prev, ok := m.(HelloNodeStore); ok {
+					prev.Hello(ctx, previous)
+				}
+			}
+			return fmt.Errorf("cooperative: announcing credential to node %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // flatRouter is the fixed-fleet policy: FNV key-hash over an immutable
 // node list, the §IV.A "hash of node id and block position" placement.
 // Groups are node ordinals; routes never change, so Invalidate always
@@ -74,25 +100,8 @@ func (r *flatRouter) Invalidate(ctx context.Context, group string) (bool, error)
 	return false, nil
 }
 
-// SetCredential implements CredentialRouter: announce the tenant to
-// every node that speaks the handshake. When any node refuses, the nodes
-// already switched are rolled back to the previous credential
-// (best-effort — a node that fails the rollback too is left to its
-// pool's redial path, which handshakes the broker's current credential).
+// SetCredential implements CredentialRouter through AnnounceCredential
+// over the fixed node list.
 func (r *flatRouter) SetCredential(ctx context.Context, tenant, previous string) error {
-	for i, n := range r.nodes {
-		hn, ok := n.(HelloNodeStore)
-		if !ok {
-			continue
-		}
-		if err := hn.Hello(ctx, tenant); err != nil {
-			for j := 0; j < i; j++ {
-				if prev, ok := r.nodes[j].(HelloNodeStore); ok {
-					prev.Hello(ctx, previous)
-				}
-			}
-			return fmt.Errorf("cooperative: announcing credential to node %d: %w", i, err)
-		}
-	}
-	return nil
+	return AnnounceCredential(ctx, r.nodes, tenant, previous)
 }

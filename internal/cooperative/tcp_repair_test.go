@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"aecodes/internal/cooperative"
+	"aecodes/internal/entangle"
 	"aecodes/internal/lattice"
+	"aecodes/internal/tenant"
 	"aecodes/internal/transport"
 )
 
@@ -162,7 +164,7 @@ func TestRepairSurvivesMidPrefetchConnPoison(t *testing.T) {
 		}
 	}
 
-	stats, err := b.RepairLattice(ctx)
+	stats, err := b.Repair(ctx, entangle.Options{})
 	if err != nil {
 		t.Fatalf("repair with mid-prefetch poison: %v", err)
 	}
@@ -191,5 +193,68 @@ func TestRepairSurvivesMidPrefetchConnPoison(t *testing.T) {
 	// And the healed pool serves traffic: one more full round trip.
 	if err := pools[0].Put(ctx, "healed", []byte("ok")); err != nil {
 		t.Fatalf("Put through healed pool: %v", err)
+	}
+}
+
+// TestRefusedCredentialRollsBackRefusingNode pins the rollback of a
+// credential one node refuses. The refusing node's pool has already
+// adopted the new credential for its redials and dropped its live
+// connections, so it must be rolled back along with the nodes before
+// it; otherwise it keeps redialing as the refused tenant and every
+// operation on it fails while the broker reports its old credential.
+func TestRefusedCredentialRollsBackRefusingNode(t *testing.T) {
+	ctx := context.Background()
+	startNode := func(cfg tenant.Config) *transport.PoolClient {
+		t.Helper()
+		reg, err := tenant.NewRegistry(transport.NewMemStore(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anon, err := reg.Open(tenant.Anonymous)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := transport.NewServer(anon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetTenantResolver(func(id string) (transport.BlockStore, error) { return reg.Open(id) })
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		pool, err := transport.DialPoolOptions(addr, 1, transport.PoolOptions{RedialBackoff: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pool.Close() })
+		return pool
+	}
+	open := startNode(tenant.Config{})
+	strict := startNode(tenant.Config{Strict: true})
+	b, err := cooperative.NewBroker("bob", lattice.Params{Alpha: 3, S: 2, P: 5}, 64, []cooperative.NodeStore{open, strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetCredential(ctx, "bob"); err == nil {
+		t.Fatal("strict node accepted an unenrolled tenant")
+	}
+	if got := b.Tenant(); got != "" {
+		t.Fatalf("broker credential after refusal = %q, want the previous (anonymous) one", got)
+	}
+	// Both pools must heal on the previous credential.
+	for i, pool := range []*transport.PoolClient{open, strict} {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			err := pool.Put(ctx, "probe", []byte("x"))
+			if err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d unusable after the refused credential (live %d): %v", i, pool.Live(), err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

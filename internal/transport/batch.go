@@ -33,28 +33,12 @@ const MaxBatchEntries = 4096
 // type.
 type KV = store.KV
 
-// roundTripper is the request/response capability shared by Client and
-// the pooled pipeConn, letting both reuse one batch-op implementation.
-type roundTripper interface {
-	roundTrip(ctx context.Context, op byte, key string, payload []byte) (byte, []byte, error)
-	roundTripSegments(ctx context.Context, segs net.Buffers) (byte, []byte, error)
-}
-
-// PutMany stores all items in one round-trip. The whole batch goes out as
-// one frame via vectored I/O — block contents are handed to the kernel in
-// place, never copied into a contiguous payload. The server applies items
-// in order and reports the first store error; earlier items may have been
-// stored when an error is returned.
-func (c *Client) PutMany(ctx context.Context, items []KV) error {
-	return putMany(ctx, c, items)
-}
-
-func putMany(ctx context.Context, rt roundTripper, items []KV) error {
+func putMany(ctx context.Context, c *pipeConn, items []KV) error {
 	segs, arena, err := putManySegments(items)
 	if err != nil {
 		return err
 	}
-	status, resp, err := rt.roundTripSegments(ctx, segs)
+	status, resp, err := c.roundTripSegments(ctx, segs)
 	// The write has completed (or failed) by the time the round-trip
 	// returns, so the header arena can rejoin the frame pool either way.
 	putBuf(arena)
@@ -109,19 +93,12 @@ func putManySegments(items []KV) (net.Buffers, []byte, error) {
 	return segs, arena, nil
 }
 
-// GetMany fetches all keys in one round-trip. The result has one entry per
-// key in order; missing blocks are nil (a present-but-empty block comes
-// back as a non-nil empty slice). A missing block is not an error.
-func (c *Client) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
-	return getMany(ctx, c, keys)
-}
-
-func getMany(ctx context.Context, rt roundTripper, keys []string) ([][]byte, error) {
+func getMany(ctx context.Context, c *pipeConn, keys []string) ([][]byte, error) {
 	payload, err := encodeGetManyReq(keys)
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := rt.roundTrip(ctx, OpGetMany, "", payload)
+	status, resp, err := c.roundTrip(ctx, OpGetMany, "", payload)
 	if err != nil {
 		return nil, err
 	}
@@ -266,20 +243,12 @@ func serveStatMany(conn net.Conn, view connView, payload []byte) error {
 	return writeResponse(conn, StatusOK, resp)
 }
 
-// StatMany reports, in one round-trip, which keys the node holds: one
-// entry per key in order. Presence travels as one flag byte per key —
-// enumeration of a large lattice costs bytes proportional to the key
-// list, never to the block contents.
-func (c *Client) StatMany(ctx context.Context, keys []string) ([]bool, error) {
-	return statMany(ctx, c, keys)
-}
-
-func statMany(ctx context.Context, rt roundTripper, keys []string) ([]bool, error) {
+func statMany(ctx context.Context, c *pipeConn, keys []string) ([]bool, error) {
 	payload, err := encodeGetManyReq(keys)
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := rt.roundTrip(ctx, OpStatMany, "", payload)
+	status, resp, err := c.roundTrip(ctx, OpStatMany, "", payload)
 	if err != nil {
 		return nil, err
 	}

@@ -118,9 +118,13 @@ func TestMalformedBatchFrames(t *testing.T) {
 			return append(b, 0xAA, 0xBB)
 		}(),
 	}
+	pc, err := c.pick()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for op, name := range map[byte]string{OpPutMany: "putMany", OpGetMany: "getMany"} {
 		for i, payload := range bad {
-			status, _, err := c.roundTrip(bg, op, "", payload)
+			status, _, err := pc.roundTrip(bg, op, "", payload)
 			if err != nil {
 				t.Fatalf("%s[%d]: connection died: %v", name, i, err)
 			}

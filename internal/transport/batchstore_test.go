@@ -60,7 +60,7 @@ func TestServerUsesNativeBatchStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestServerBatchFallbackOnPlainStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,37 +232,6 @@ func TestPoolContextErrorsAreNotRetried(t *testing.T) {
 	}
 }
 
-// TestClientDefaultResponseTimeout pins the serialised client's default
-// deadline: a hung node fails the exchange after the configured timeout
-// and the client reports the poison thereafter.
-func TestClientDefaultResponseTimeout(t *testing.T) {
-	st := &stallStore{MemStore: NewMemStore(), prefix: "stall/", release: make(chan struct{})}
-	defer close(st.release)
-	addr := startServerOn(t, st)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetResponseTimeout(50 * time.Millisecond)
-
-	if err := c.Put(context.Background(), "ok", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := c.Get(context.Background(), "stall/x"); err == nil {
-		t.Fatal("Get on hung node succeeded, want timeout")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("default-timeout Get took %v, want ~50ms", elapsed)
-	}
-	// The client is poisoned, permanently: that is its documented contract
-	// (PoolClient is the self-healing variant).
-	if _, err := c.Get(context.Background(), "ok"); err == nil {
-		t.Fatal("poisoned client served a request")
-	}
-}
-
 // TestPipeConnTimeoutWheelRearm pins that the wheel survives interleaved
 // deadlines: a long-deadline request issued before a short-deadline one
 // must not mask the short one's expiry.

@@ -123,27 +123,14 @@ func (s *Server) serveMetrics(conn net.Conn, key string, payload []byte) error {
 }
 
 // Metrics fetches the node's process metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (obs.Snapshot, error) {
-	return metricsOp(ctx, c)
-}
-
-// Metrics fetches the node's process metrics snapshot over a pooled
-// connection.
 func (p *PoolClient) Metrics(ctx context.Context) (obs.Snapshot, error) {
-	var out obs.Snapshot
-	err := p.withConn(ctx, func(c *pipeConn) error {
-		var err error
-		out, err = metricsOp(ctx, c)
-		return err
+	return withConnValue(ctx, p, func(c *pipeConn) (obs.Snapshot, error) {
+		return metricsOp(ctx, c)
 	})
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	return out, nil
 }
 
-func metricsOp(ctx context.Context, rt roundTripper) (obs.Snapshot, error) {
-	status, resp, err := rt.roundTrip(ctx, OpMetrics, "", nil)
+func metricsOp(ctx context.Context, c *pipeConn) (obs.Snapshot, error) {
+	status, resp, err := c.roundTrip(ctx, OpMetrics, "", nil)
 	if err != nil {
 		return obs.Snapshot{}, err
 	}

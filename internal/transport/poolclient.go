@@ -70,8 +70,9 @@ func (o PoolOptions) redialMax() time.Duration {
 	return o.RedialMax
 }
 
-// PoolClient is a pool of pipelined connections to one storage node. It is
-// safe for concurrent use and offers the same operations as Client.
+// PoolClient is a pool of pipelined connections to one storage node —
+// the repository's one client for the wire protocol. It is safe for
+// concurrent use; a pool of one connection is the plain client.
 type PoolClient struct {
 	addr string
 	opts PoolOptions
@@ -357,31 +358,44 @@ func (p *PoolClient) withConn(ctx context.Context, op func(*pipeConn) error) err
 	return lastErr
 }
 
-// Get fetches a block; it returns ErrNotFound for missing keys.
-func (p *PoolClient) Get(ctx context.Context, key string) ([]byte, error) {
-	var out []byte
+// withConnValue is withConn for operations that return a value: op's
+// result from the attempt that succeeded, or the zero value with the
+// final error.
+func withConnValue[T any](ctx context.Context, p *PoolClient, op func(*pipeConn) (T, error)) (T, error) {
+	var out T
 	err := p.withConn(ctx, func(c *pipeConn) error {
-		status, payload, err := c.roundTrip(ctx, OpGet, key, nil)
-		if err != nil {
-			return err
-		}
-		switch status {
-		case StatusOK:
-			out = payload
-			return nil
-		case StatusNotFound:
-			return ErrNotFound
-		default:
-			return remoteError(status, payload)
-		}
+		var err error
+		out, err = op(c)
+		return err
 	})
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	return out, nil
 }
 
-// Put stores a block.
+// Get fetches a block; it returns ErrNotFound for missing keys.
+func (p *PoolClient) Get(ctx context.Context, key string) ([]byte, error) {
+	return withConnValue(ctx, p, func(c *pipeConn) ([]byte, error) {
+		status, payload, err := c.roundTrip(ctx, OpGet, key, nil)
+		if err != nil {
+			return nil, err
+		}
+		switch status {
+		case StatusOK:
+			return payload, nil
+		case StatusNotFound:
+			return nil, ErrNotFound
+		default:
+			return nil, remoteError(status, payload)
+		}
+	})
+}
+
+// Put stores a block. A write the node's admission control refused
+// returns an error wrapping store.ErrQuotaExceeded — permanent for this
+// write, do not retry.
 func (p *PoolClient) Put(ctx context.Context, key string, data []byte) error {
 	return p.simple(ctx, OpPut, key, data)
 }
@@ -401,42 +415,34 @@ func (p *PoolClient) simple(ctx context.Context, op byte, key string, payload []
 	})
 }
 
-// PutMany stores all items in one round-trip on one pooled connection,
-// using vectored I/O like Client.PutMany.
+// PutMany stores all items in one round-trip. The whole batch goes out as
+// one frame via vectored I/O — block contents are handed to the kernel in
+// place, never copied into a contiguous payload. The server applies items
+// in order and reports the first store error; earlier items may have been
+// stored when an error is returned.
 func (p *PoolClient) PutMany(ctx context.Context, items []KV) error {
 	return p.withConn(ctx, func(c *pipeConn) error {
 		return putMany(ctx, c, items)
 	})
 }
 
-// GetMany fetches all keys in one round-trip; missing blocks are nil.
+// GetMany fetches all keys in one round-trip. The result has one entry per
+// key in order; missing blocks are nil (a present-but-empty block comes
+// back as a non-nil empty slice). A missing block is not an error.
 func (p *PoolClient) GetMany(ctx context.Context, keys []string) ([][]byte, error) {
-	var out [][]byte
-	err := p.withConn(ctx, func(c *pipeConn) error {
-		var err error
-		out, err = getMany(ctx, c, keys)
-		return err
+	return withConnValue(ctx, p, func(c *pipeConn) ([][]byte, error) {
+		return getMany(ctx, c, keys)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-// StatMany reports, in one round-trip, which keys the node holds — the
-// presence-only enumeration primitive: one flag per key in order, no
-// block contents on the wire.
+// StatMany reports, in one round-trip, which keys the node holds: one
+// entry per key in order. Presence travels as one flag byte per key —
+// enumeration of a large lattice costs bytes proportional to the key
+// list, never to the block contents.
 func (p *PoolClient) StatMany(ctx context.Context, keys []string) ([]bool, error) {
-	var out []bool
-	err := p.withConn(ctx, func(c *pipeConn) error {
-		var err error
-		out, err = statMany(ctx, c, keys)
-		return err
+	return withConnValue(ctx, p, func(c *pipeConn) ([]bool, error) {
+		return statMany(ctx, c, keys)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Close closes every pooled connection and stops all background redials;

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -44,8 +45,8 @@ func TestHelloTenantIsolation(t *testing.T) {
 	addr, _, backing := startTenantServer(t, tenant.Config{})
 	ctx := context.Background()
 
-	dial := func(tenantID string) *Client {
-		c, err := Dial(addr)
+	dial := func(tenantID string) *PoolClient {
+		c, err := DialPool(addr, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestHelloTenantIsolation(t *testing.T) {
 	anon := dial("")
 
 	for _, tc := range []struct {
-		c    *Client
+		c    *PoolClient
 		body string
 	}{{alice, "from-alice"}, {bob, "from-bob"}, {anon, "from-anon"}} {
 		if err := tc.c.Put(ctx, "k", []byte(tc.body)); err != nil {
@@ -70,7 +71,7 @@ func TestHelloTenantIsolation(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		c    *Client
+		c    *PoolClient
 		want string
 	}{{alice, "from-alice"}, {bob, "from-bob"}, {anon, "from-anon"}} {
 		got, err := tc.c.Get(ctx, "k")
@@ -97,9 +98,9 @@ func TestHelloTenantIsolation(t *testing.T) {
 }
 
 // TestHelloVersionGate pins the version gate and the single-tenant
-// fallback: a bad version is refused, an unknown op (what an old server
-// answers) is an error, an anonymous hello against a resolver-less node
-// succeeds, a named one is refused.
+// fallback at frame level: an anonymous hello against a resolver-less
+// node succeeds, a named one is refused, a bad version is refused, and
+// the server keeps the connection open after each refusal.
 func TestHelloVersionGate(t *testing.T) {
 	srv, err := NewServer(NewMemStore())
 	if err != nil {
@@ -111,42 +112,52 @@ func TestHelloVersionGate(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 
-	c, err := Dial(addr)
+	// Raw frames, not a PoolClient: the pool deliberately recycles a
+	// connection whose handshake was refused, which would hide whether
+	// the server kept it open.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	ctx := context.Background()
-	if err := c.Hello(ctx, ""); err != nil {
-		t.Errorf("anonymous hello against a single-tenant node = %v, want nil", err)
+	defer conn.Close()
+	exchange := func(op byte, key string, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := writeRequest(conn, op, key, payload); err != nil {
+			t.Fatal(err)
+		}
+		status, resp, err := readResponse(conn)
+		if err != nil {
+			t.Fatalf("connection dead after op %d: %v", op, err)
+		}
+		return status, resp
 	}
-	if err := c.Hello(ctx, "alice"); err == nil {
-		t.Error("named hello against a single-tenant node succeeded")
+	if status, resp := exchange(OpHello, "", []byte{HelloVersion}); status != StatusOK {
+		t.Errorf("anonymous hello against a single-tenant node = status %d (%q), want StatusOK", status, resp)
+	}
+	if status, _ := exchange(OpHello, "alice", []byte{HelloVersion}); status != StatusError {
+		t.Errorf("named hello against a single-tenant node = status %d, want StatusError", status)
 	}
 	// A wrong version must be refused even where the tenant would be fine.
-	status, payload, err := c.roundTrip(ctx, OpHello, "", []byte{HelloVersion + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != StatusError {
-		t.Errorf("v%d handshake got status %d (%q), want StatusError", HelloVersion+1, status, payload)
+	if status, resp := exchange(OpHello, "", []byte{HelloVersion + 1}); status != StatusError {
+		t.Errorf("v%d handshake got status %d (%q), want StatusError", HelloVersion+1, status, resp)
 	}
 	// The connection survives refused handshakes.
-	if err := c.Put(ctx, "still", []byte("alive")); err != nil {
-		t.Errorf("connection dead after refused handshake: %v", err)
+	if status, resp := exchange(OpPut, "still", []byte("alive")); status != StatusOK {
+		t.Errorf("Put after refused handshakes = status %d (%q), want StatusOK", status, resp)
 	}
 }
 
 // TestQuotaStatusOverWire pins the typed quota refusal end to end: an
 // over-quota Put and PutMany both come back as store.ErrQuotaExceeded
-// through both client kinds, and the connection stays usable.
+// whether the credential arrived by Hello or at dial time, and the
+// connections stay usable.
 func TestQuotaStatusOverWire(t *testing.T) {
 	addr, _, _ := startTenantServer(t, tenant.Config{
 		Tenants: map[string]tenant.Quota{"alice": {MaxBytes: 64}},
 	})
 	ctx := context.Background()
 
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +196,8 @@ func TestQuotaStatusOverWire(t *testing.T) {
 	}
 }
 
-// TestStatManyOverWire pins the presence-only op for both client kinds
-// and for a handshaked tenant's namespace.
+// TestStatManyOverWire pins the presence-only op for credentials set at
+// dial time and by Hello, each in its own tenant's namespace.
 func TestStatManyOverWire(t *testing.T) {
 	addr, _, _ := startTenantServer(t, tenant.Config{})
 	ctx := context.Background()
@@ -208,7 +219,7 @@ func TestStatManyOverWire(t *testing.T) {
 	}
 
 	// A different tenant's view holds nothing under the same keys.
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +261,7 @@ func TestStatManyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

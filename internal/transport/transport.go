@@ -21,7 +21,6 @@ package transport
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -87,7 +86,7 @@ const (
 	MaxPayloadLen = 64 << 20 // 64 MiB
 )
 
-// ErrNotFound is returned by Client.Get for missing keys. It wraps the
+// ErrNotFound is returned by PoolClient.Get for missing keys. It wraps the
 // repository-wide store.ErrNotFound sentinel, so errors.Is works with
 // either across every backend.
 var ErrNotFound = fmt.Errorf("transport: %w", store.ErrNotFound)
@@ -610,170 +609,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
-}
-
-// Client is a connection to one storage node. It is safe for concurrent
-// use; requests are serialised over the single connection.
-//
-// Every operation takes a context: a context that is already done fails
-// fast without touching the wire, and a context deadline is applied to
-// the connection for the duration of the round-trip. Cancellation of a
-// deadline-free context is only observed between round-trips.
-//
-// Any I/O failure (including a deadline expiry mid-exchange) poisons the
-// connection: the request/response pairing can no longer be trusted, so
-// the client closes the socket and every later operation returns the
-// original error instead of a stale response. Poisoning is permanent for
-// this Client — recover from a transient node failure by Dialing a fresh
-// one, or use PoolClient, which evicts and redials poisoned connections
-// automatically.
-type Client struct {
-	mu             sync.Mutex
-	conn           net.Conn
-	err            error // sticky fatal error; guarded by mu
-	defaultTimeout time.Duration
-}
-
-// Dial connects to a storage node.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return &Client{conn: conn}, nil
-}
-
-// SetResponseTimeout installs a default per-request response deadline,
-// applied whenever a request's context carries none: a node that hangs
-// mid-exchange fails the request (and poisons this client) after d
-// instead of stalling the caller forever. Zero restores the default of
-// waiting indefinitely.
-func (c *Client) SetResponseTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.defaultTimeout = d
-	c.mu.Unlock()
-}
-
-// Get fetches a block; it returns ErrNotFound for missing keys.
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	status, payload, err := c.roundTrip(ctx, OpGet, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case StatusOK:
-		return payload, nil
-	case StatusNotFound:
-		return nil, ErrNotFound
-	default:
-		return nil, remoteError(status, payload)
-	}
-}
-
-// Put stores a block. A write the node's admission control refused
-// returns an error wrapping store.ErrQuotaExceeded — permanent for this
-// write, do not retry.
-func (c *Client) Put(ctx context.Context, key string, data []byte) error {
-	status, payload, err := c.roundTrip(ctx, OpPut, key, data)
-	if err != nil {
-		return err
-	}
-	return ackError(status, payload)
-}
-
-// Del removes a block.
-func (c *Client) Del(ctx context.Context, key string) error {
-	status, payload, err := c.roundTrip(ctx, OpDel, key, nil)
-	if err != nil {
-		return err
-	}
-	return ackError(status, payload)
-}
-
-// Hello performs the tenant handshake: every later request on this
-// client runs against the named tenant's namespace on the node. The
-// empty tenant is the anonymous namespace (a no-op on any server). A
-// refused handshake leaves the connection usable on whatever tenant it
-// already had.
-func (c *Client) Hello(ctx context.Context, tenant string) error {
-	status, payload, err := c.roundTrip(ctx, OpHello, tenant, []byte{HelloVersion})
-	if err != nil {
-		return err
-	}
-	return ackError(status, payload)
-}
-
-// Close closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return nil // already torn down by a failed exchange
-	}
-	c.err = errors.New("transport: client closed")
-	return c.conn.Close()
-}
-
-func (c *Client) roundTrip(ctx context.Context, op byte, key string, payload []byte) (byte, []byte, error) {
-	return c.exchange(ctx, func() error { return writeRequest(c.conn, op, key, payload) })
-}
-
-// roundTripSegments sends a pre-framed request as scatter/gather segments
-// (one writev on TCP) and reads the response.
-func (c *Client) roundTripSegments(ctx context.Context, segs net.Buffers) (byte, []byte, error) {
-	return c.exchange(ctx, func() error {
-		_, err := segs.WriteTo(c.conn)
-		return err
-	})
-}
-
-// exchange performs one request/response pair under the client lock. A
-// failure anywhere in the exchange leaves an unknown number of bytes in
-// flight, so it poisons the connection rather than letting the next
-// request read this one's response.
-func (c *Client) exchange(ctx context.Context, write func() error) (byte, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return 0, nil, c.err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	defer c.applyDeadline(ctx)()
-	if err := write(); err != nil {
-		return 0, nil, c.poisonLocked(err)
-	}
-	status, payload, err := readResponse(c.conn)
-	if err != nil {
-		return 0, nil, c.poisonLocked(err)
-	}
-	return status, payload, nil
-}
-
-// poisonLocked records the first fatal error and closes the socket. Callers
-// hold c.mu.
-func (c *Client) poisonLocked(err error) error {
-	if c.err == nil {
-		c.err = fmt.Errorf("transport: connection broken: %w", err)
-		c.conn.Close()
-	}
-	return c.err
-}
-
-// applyDeadline installs the context deadline — or, when the context has
-// none, the client's default response timeout — on the connection and
-// returns the undo function. Callers hold c.mu.
-func (c *Client) applyDeadline(ctx context.Context) func() {
-	d, ok := ctx.Deadline()
-	if !ok {
-		if c.defaultTimeout <= 0 {
-			return func() {}
-		}
-		d = time.Now().Add(c.defaultTimeout)
-	}
-	c.conn.SetDeadline(d)
-	return func() { c.conn.SetDeadline(time.Time{}) }
 }
 
 func writeRequest(w io.Writer, op byte, key string, payload []byte) error {

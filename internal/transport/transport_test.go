@@ -28,9 +28,9 @@ func startServer(t *testing.T) (*MemStore, string) {
 	return store, addr
 }
 
-func dial(t *testing.T, addr string) *Client {
+func dial(t *testing.T, addr string) *PoolClient {
 	t.Helper()
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialPool(addr, 1)
 			if err != nil {
 				errs <- err
 				return
@@ -169,7 +169,7 @@ func TestServerCloseStopsService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +183,8 @@ func TestServerCloseStopsService(t *testing.T) {
 	if err := c.Put(bg, "k2", []byte{2}); err == nil {
 		t.Error("Put succeeded after server close")
 	}
-	if _, err := Dial(addr); err == nil {
-		t.Error("Dial succeeded after server close")
+	if _, err := DialPool(addr, 1); err == nil {
+		t.Error("DialPool succeeded after server close")
 	}
 }
 
@@ -231,8 +231,9 @@ func (s *slowStore) Get(key string) ([]byte, bool) {
 
 // TestClientPoisonedAfterDeadline pins the desynchronization fix: once a
 // round-trip dies on a context deadline, the late response must never be
-// attributed to the next request — the connection is torn down and every
-// later operation fails with the original error.
+// attributed to the next request. The connection is torn down, so later
+// requests fail until a redialed connection serves them — with their own
+// responses.
 func TestClientPoisonedAfterDeadline(t *testing.T) {
 	store := &slowStore{delay: 300 * time.Millisecond}
 	store.MemStore.m = map[string][]byte{"a": []byte("AAAA"), "b": []byte("BBBB")}
@@ -245,7 +246,7 @@ func TestClientPoisonedAfterDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr)
+	c, err := DialPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +259,18 @@ func TestClientPoisonedAfterDeadline(t *testing.T) {
 	}
 	// Without poisoning, this would read request a's late response and
 	// return AAAA for key b.
-	got, err := c.Get(bg, "b")
-	if err == nil {
-		t.Fatalf("Get on a broken connection succeeded with %q", got)
-	}
-	if err := c.Put(bg, "c", []byte("C")); err == nil {
-		t.Fatal("Put on a broken connection succeeded")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, err := c.Get(bg, "b")
+		if err == nil {
+			if string(got) != "BBBB" {
+				t.Fatalf("Get(b) after a timed-out Get(a) = %q, want BBBB", got)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never recovered after the deadline: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
