@@ -292,9 +292,11 @@ func (c *Code) RepairParity(ctx context.Context, src Source, e Edge) ([]byte, er
 }
 
 // Repair runs synchronous repair rounds over the store until every missing
-// block is rebuilt or no more progress is possible. Each round issues one
-// Missing enumeration and commits its repairs with a single PutMany, so a
-// batch-native store moves whole rounds in one exchange per location.
+// block is rebuilt or no more progress is possible. A whole-lattice run
+// reads each block at most once: one Missing sweep opens it and one closes
+// it, each round fetches only the blocks its carried snapshot lacks, and
+// each round commits its repairs with a single PutMany, so a batch-native
+// store moves a whole run in a few exchanges per location.
 func (c *Code) Repair(ctx context.Context, st BlockStore, opts RepairOptions) (RepairStats, error) {
 	return c.rep.Repair(ctx, st, opts)
 }

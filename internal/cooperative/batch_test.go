@@ -103,14 +103,13 @@ func TestRepairRoundBatchesPerNode(t *testing.T) {
 		}
 	}
 
-	// Repair ran stats.Rounds productive rounds plus one closing
-	// enumeration (which doubles as the fixpoint check and the final
-	// missing-set accounting). Enumeration is presence-only: each
-	// productive round costs one StatMany frame per node (plus one for
-	// the closing enumeration), content moves ONLY in the engine's round
-	// prefetch — at most one GetMany frame per node per round — and
-	// nothing may fall back to single-block chatter.
-	maxStats := stats.Rounds + 1
+	// Repair ran stats.Rounds productive rounds between one opening and
+	// one closing sweep (which doubles as the final missing-set
+	// accounting). Sweeps are presence-only: each costs one StatMany
+	// frame per node, content moves ONLY in the engine's prefetch — at
+	// most one GetMany frame per node per round — and nothing may fall
+	// back to single-block chatter.
+	const maxStats = 2
 	for i, m := range mems {
 		if m.GetCalls() != 0 {
 			t.Errorf("node %d served %d single Gets during repair, want 0 (batching bypassed)", i, m.GetCalls())

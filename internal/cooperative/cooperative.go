@@ -18,9 +18,9 @@
 // are regenerated from pp-tuples fetched from two nodes. Whole-lattice
 // repair reuses the round-based engine of internal/entangle through a
 // network-backed BlockStore adapter that is pure routing + batching: the
-// engine's missing-block enumeration and its round-prefetch GetMany each
-// travel as one batched frame per storage node, and each round's commit
-// leaves as one PutMany frame per storage node.
+// engine's opening and closing missing-block sweeps and its prefetch
+// GetMany each travel as one batched frame per storage node, and each
+// round's commit leaves as one PutMany frame per storage node.
 package cooperative
 
 import (
@@ -73,8 +73,8 @@ type BatchNodeStore interface {
 // enumeration: which of these keys do you hold, one flag per key, no
 // block contents on the wire. transport.PoolClient provides it; over
 // nodes that do, the broker's missing-block enumeration stops fetching
-// (and discarding) whole blocks, leaving the repair engine's round
-// prefetch as the only content transfer.
+// (and discarding) whole blocks, leaving the repair engine's prefetch as
+// the only content transfer.
 type StatNodeStore interface {
 	NodeStore
 	// StatMany returns one entry per key in order: true when the node
@@ -768,9 +768,10 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // BlockStore dialect so the generic repair engine can drive repairs. It
 // is pure routing and batching: refs and keys map to responsible nodes,
 // and bulk operations travel as one batched frame per node (for nodes
-// implementing BatchNodeStore). It keeps no cache — round-based repair's
-// read locality lives in the engine's own round prefetch, which arrives
-// here as one GetMany over the round's working set.
+// implementing BatchNodeStore). It keeps no cache — whole-lattice
+// repair's read locality lives in the engine's own snapshot, carried
+// across a run's rounds, which arrives here as one GetMany for the
+// working-set blocks it lacks (usually once per run).
 type netStore struct {
 	b *Broker // block state accessed under b.mu (the broker's own lock)
 }
@@ -863,7 +864,7 @@ func (s *netStore) fetchFromNode(ctx context.Context, node NodeStore, keys []str
 // GetMany implements store.BlockStore: data refs are served from the
 // user's machine, parity refs are grouped by responsible node and fetched
 // with one batched frame per node where the node supports it. This is the
-// path the repair engine's round prefetch travels.
+// path the repair engine's prefetch travels.
 func (s *netStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
 	out := make([][]byte, len(refs))
 	type want struct {
@@ -985,9 +986,11 @@ func (s *netStore) heldOnNode(ctx context.Context, node NodeStore, keys []string
 // lost, and every parity the lattice says should exist but no node
 // serves. Nodes speaking the presence-only protocol answer with
 // StatMany flags — no block contents cross the wire for enumeration, so
-// the engine's round prefetch is the only content transfer of a repair
-// round. Other batch-capable nodes fall back to one GetMany frame per
-// chunk with the contents discarded.
+// the engine's prefetch is the only content transfer of a repair run.
+// A whole-lattice run sweeps twice, once to open and once to close it;
+// each sweep makes a segstore-backed node read and CRC-check every
+// record it is asked about. Other batch-capable nodes fall back to one GetMany
+// frame per chunk with the contents discarded.
 func (s *netStore) Missing(ctx context.Context) (store.Missing, error) {
 	if err := ctx.Err(); err != nil {
 		return store.Missing{}, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,6 +23,7 @@ type countingStore struct {
 	getMany   int
 	putMany   int
 	missing   int
+	fetched   map[store.Ref]int // refs requested through GetMany
 }
 
 var _ store.BlockStore = (*countingStore)(nil)
@@ -51,7 +53,15 @@ func (c *countingStore) PutParity(ctx context.Context, e lattice.Edge, b []byte)
 }
 
 func (c *countingStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, error) {
-	c.bump(&c.getMany)
+	c.mu.Lock()
+	c.getMany++
+	if c.fetched == nil {
+		c.fetched = make(map[store.Ref]int)
+	}
+	for _, ref := range refs {
+		c.fetched[ref]++
+	}
+	c.mu.Unlock()
 	return c.inner.GetMany(ctx, refs)
 }
 
@@ -116,10 +126,12 @@ func buildDamagedStore(t *testing.T, params lattice.Params, n, blockSize int, lo
 	return st, originals
 }
 
-// TestRepairRoundPrefetchShape pins the engine-level traffic shape on any
-// backend: each productive round issues exactly one Missing enumeration
-// and exactly one GetMany prefetch, planning never reads single blocks
-// from the store, and each productive round commits exactly one PutMany.
+// TestRepairRoundPrefetchShape pins the engine-level traffic shape on a
+// stable backend: one opening and one closing Missing sweep per run, at
+// most one GetMany prefetch per productive round, no ref fetched twice
+// (the snapshot carries every block across rounds), planning never reads
+// single blocks from the store, and each productive round commits
+// exactly one PutMany.
 func TestRepairRoundPrefetchShape(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		st, originals := buildDamagedStore(t, lattice.Params{Alpha: 3, S: 2, P: 5}, 150, 64, 0.3, int64(41+workers))
@@ -136,16 +148,21 @@ func TestRepairRoundPrefetchShape(t *testing.T) {
 			t.Fatalf("workers=%d: %d data blocks unrepaired", workers, len(stats.UnrepairedData))
 		}
 		getData, getParity, getMany, putMany, missing := cs.counts()
-		// Productive rounds plus the closing enumeration each call Missing;
-		// only productive rounds (and a possible final unproductive one that
-		// still had missing blocks) prefetch and commit.
-		if missing < stats.Rounds || missing > stats.Rounds+1 {
-			t.Errorf("workers=%d: %d Missing calls over %d rounds, want %d or %d",
-				workers, missing, stats.Rounds, stats.Rounds, stats.Rounds+1)
+		if stats.Rounds < 2 {
+			t.Fatalf("workers=%d: %d rounds, want a multi-round repair to pin cross-round reuse", workers, stats.Rounds)
 		}
-		if getMany != stats.Rounds {
-			t.Errorf("workers=%d: %d GetMany prefetches over %d productive rounds, want exactly one per round",
+		if missing != 2 {
+			t.Errorf("workers=%d: %d Missing calls over %d rounds, want 2 (one opening, one closing sweep)",
+				workers, missing, stats.Rounds)
+		}
+		if getMany > stats.Rounds {
+			t.Errorf("workers=%d: %d GetMany prefetches over %d productive rounds, want at most one per round",
 				workers, getMany, stats.Rounds)
+		}
+		for ref, n := range cs.fetched {
+			if n > 1 {
+				t.Errorf("workers=%d: %v fetched %d times in one run, want once", workers, ref, n)
+			}
 		}
 		if putMany != stats.Rounds {
 			t.Errorf("workers=%d: %d PutMany commits over %d rounds, want exactly one per round",
@@ -210,4 +227,139 @@ func (l *losingStore) GetMany(ctx context.Context, refs []store.Ref) ([][]byte, 
 	blocks, err := l.MemoryStore.GetMany(ctx, refs)
 	l.once.Do(l.lose)
 	return blocks, err
+}
+
+// midRunLossStore loses blocks from its MemoryStore the moment the first
+// PutMany commit returns: losses that subtracting commits from the
+// tracked missing set cannot see.
+type midRunLossStore struct {
+	*MemoryStore
+	once sync.Once
+	lose func()
+}
+
+func (l *midRunLossStore) PutMany(ctx context.Context, blocks []store.Block) error {
+	err := l.MemoryStore.PutMany(ctx, blocks)
+	l.once.Do(l.lose)
+	return err
+}
+
+// TestRepairClosingSweepCatchesMidRunLoss pins the closing sweep: a data
+// block and a parity lost after round 1's commit — one never damaged,
+// one just repaired by that commit — must be repaired or reported
+// unrepaired, never missed silently. Both a run that needs only one round
+// (the tracked set empties right away) and a multi-round run are covered.
+func TestRepairClosingSweepCatchesMidRunLoss(t *testing.T) {
+	params := lattice.Params{Alpha: 3, S: 2, P: 5}
+	lat, err := lattice.New(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		lossFrac float64
+	}{
+		{"single-round", 0},
+		{"multi-round", 0.3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, originals := buildDamagedStore(t, params, 120, 32, tc.lossFrac, 5)
+			st.LoseData(40)
+			// Pick a data block and a parity the damage left intact.
+			intact := 100
+			for slices.Contains(st.MissingData(), intact) {
+				intact++
+			}
+			var lostPar lattice.Edge
+			for i := 80; ; i++ {
+				if lostPar, err = lat.OutEdge(lattice.Horizontal, i); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := st.Parity(lostPar); ok {
+					break
+				}
+			}
+			ms := &midRunLossStore{MemoryStore: st, lose: func() {
+				st.LoseData(intact)
+				st.LoseData(40) // repaired by round 1
+				st.LoseParity(lostPar)
+			}}
+			cs := &countingStore{inner: ms}
+			rep, err := NewRepairer(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := rep.Repair(context.Background(), cs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(stats.UnrepairedData, st.MissingData()) {
+				t.Errorf("UnrepairedData %v, store is missing %v", stats.UnrepairedData, st.MissingData())
+			}
+			if !slices.Equal(stats.UnrepairedParities, st.MissingParities()) {
+				t.Errorf("UnrepairedParities %v, store is missing %v", stats.UnrepairedParities, st.MissingParities())
+			}
+			for _, i := range []int{40, intact} {
+				got, err := st.GetData(context.Background(), i)
+				if err != nil {
+					t.Errorf("d%d lost mid-run was not repaired: %v", i, err)
+				} else if !bytes.Equal(got, originals[i]) {
+					t.Errorf("d%d repaired with wrong content", i)
+				}
+			}
+			if _, ok := st.Parity(lostPar); !ok {
+				t.Errorf("parity %v lost mid-run was not repaired", lostPar)
+			}
+			if _, _, _, _, missing := cs.counts(); missing < 3 {
+				t.Errorf("%d Missing sweeps, want at least 3 (opening, one that finds the loss, closing)", missing)
+			}
+		})
+	}
+}
+
+// TestRepairCarriedSnapshotMatchesFreshRounds pins Table VI semantics
+// under the carried snapshot: one run must repair, round by round, exactly
+// what a sequence of one-round runs does — each of which sweeps and
+// fetches its whole working set from scratch.
+func TestRepairCarriedSnapshotMatchesFreshRounds(t *testing.T) {
+	for _, params := range []lattice.Params{
+		{Alpha: 2, S: 1, P: 1},
+		{Alpha: 2, S: 2, P: 5},
+		{Alpha: 3, S: 2, P: 5},
+		{Alpha: 3, S: 5, P: 5},
+	} {
+		for _, loss := range []float64{0.1, 0.3, 0.5} {
+			rep, err := NewRepairer(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := int64(loss * 100)
+			carried, _ := buildDamagedStore(t, params, 120, 16, loss, seed)
+			got, err := rep.Repair(context.Background(), carried, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := buildDamagedStore(t, params, 120, 16, loss, seed)
+			var want []RoundStats
+			for {
+				one, err := rep.Repair(context.Background(), fresh, Options{MaxRounds: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if one.Rounds == 0 {
+					break
+				}
+				rs := one.PerRound[0]
+				rs.Round = len(want) + 1
+				want = append(want, rs)
+			}
+			if !slices.Equal(got.PerRound, want) {
+				t.Errorf("%v loss=%.1f: carried run repaired %v, fresh rounds %v", params, loss, got.PerRound, want)
+			}
+			if !slices.Equal(carried.MissingData(), fresh.MissingData()) ||
+				!slices.Equal(carried.MissingParities(), fresh.MissingParities()) {
+				t.Errorf("%v loss=%.1f: carried and fresh runs left different blocks missing", params, loss)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -227,10 +228,11 @@ type Stats struct {
 	// missing at fixpoint (irrecoverable under the current availability).
 	UnrepairedData     []int
 	UnrepairedParities []lattice.Edge
-	// BytesRead counts block bytes the engine fetched to plan repairs —
-	// the numerator of bytes-moved-per-repaired-block. Scoped repair
-	// reads only the tuples it probes (≈2 blocks per repaired block);
-	// whole-lattice rounds prefetch the full working set.
+	// BytesRead counts block bytes the engine actually fetched to plan
+	// repairs — the numerator of bytes-moved-per-repaired-block. Scoped
+	// repair reads only the tuples it probes (≈2 blocks per repaired
+	// block); a whole-lattice run prefetches its working set, each block
+	// at most once per run.
 	BytesRead int64
 }
 
@@ -244,13 +246,23 @@ func (s Stats) DataLoss() int { return len(s.UnrepairedData) }
 // when the round started, so the round count matches the paper's Table VI
 // semantics; newly repaired blocks become usable in the next round.
 //
-// Each round issues one Missing enumeration, one GetMany prefetch of the
-// round's entire repair-tuple working set into an engine-owned round
-// cache, and commits all of its repairs with a single PutMany batch —
-// so a batch-native store moves a whole round in a constant number of
-// requests per storage location, and planning reads never touch the
-// backend. The prefetch freezes the pre-round state: every planner reads
-// the same snapshot whatever the worker count.
+// A whole-lattice run (ScopeLattice) reads each block at most once. One
+// Missing sweep opens the run; after each productive round the committed
+// blocks are subtracted from the tracked missing set instead of sweeping
+// again. A closing sweep runs when the tracked set empties, after a
+// zero-progress round and after a failed prefetch, and decides whether
+// the lattice is healthy, at a fixpoint, or lost blocks mid-run that the
+// next round must take on. A run reports a healthy lattice only after a
+// fresh sweep found nothing missing.
+//
+// Planning reads an engine-owned snapshot carried across the run's
+// rounds: each round issues at most one GetMany, for the working-set
+// blocks the snapshot lacks, and commits all of its repairs with a single
+// PutMany batch whose blocks then join the snapshot. Lattice blocks are
+// write-once per key, so a copy fetched in round k is still correct in
+// round k+1. Within a round the snapshot is frozen and planning reads
+// never touch the backend, so every planner sees the same state whatever
+// the worker count.
 func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, error) {
 	var stats Stats
 	var err error
@@ -266,39 +278,50 @@ func (r *Repairer) Repair(ctx context.Context, st Store, opts Options) (Stats, e
 // repairLattice is the whole-lattice ScopeLattice engine behind Repair.
 func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (Stats, error) {
 	var stats Stats
-	// final remembers the last enumeration when nothing was committed
-	// after it, so the usual exits (lattice healthy, fixpoint) do not pay
-	// a second whole-store sweep just for the closing statistics.
-	var final *store.Missing
+	snap := &roundCache{blocks: make(map[store.Ref]cached)}
+	defer snap.release()
+	// planned is the part of a missing set the run repairs.
+	planned := func(m store.Missing) []lattice.Edge {
+		if opts.DataOnly {
+			return nil
+		}
+		return m.Parities
+	}
+	healthy := func(m store.Missing) bool { return len(m.Data) == 0 && len(planned(m)) == 0 }
+	missing, err := snap.sweep(ctx, st)
+	if err != nil {
+		return stats, err
+	}
+	// fresh is true while missing is a sweep's result with nothing
+	// committed since; otherwise it is that sweep minus the commits.
+	fresh := true
 	zeroRounds := 0
 	for round := 1; ; round++ {
+		if healthy(missing) && !fresh {
+			// Closing sweep: subtraction cannot see a block lost mid-run,
+			// so only a fresh sweep may call the lattice healthy.
+			if missing, err = snap.sweep(ctx, st); err != nil {
+				return stats, err
+			}
+			fresh = true
+		}
+		if healthy(missing) {
+			break
+		}
 		if opts.MaxRounds > 0 && round > opts.MaxRounds {
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		missing, err := st.Missing(ctx)
-		if err != nil {
-			return stats, fmt.Errorf("entangle: enumerating missing blocks: %w", err)
-		}
-		missingPar := missing.Parities
-		if opts.DataOnly {
-			missingPar = nil
-		}
-		if len(missing.Data) == 0 && len(missingPar) == 0 {
-			final = &missing
-			break
-		}
 
-		// Prefetch the round's whole repair-tuple working set with one
-		// batch, then plan against that frozen snapshot. A prefetch whose
-		// bounded retries all failed is a backend outage lasting beyond
-		// this round: Patience treats it like a zero-progress round (the
-		// next enumeration starts over), and only when Patience is
-		// exhausted does it surface as the run's error.
-		cache, err := r.prefetchRound(ctx, st, missing.Data, missingPar, opts, &stats)
-		if err != nil {
+		// Top the snapshot up with the working-set blocks it lacks, then
+		// plan against it. A prefetch whose bounded retries all failed is
+		// a backend outage lasting beyond this round: Patience treats it
+		// like a zero-progress round (a closing sweep starts the next one
+		// over), and only when Patience is exhausted does it surface as
+		// the run's error.
+		if err := r.prefetchRound(ctx, st, snap, missing, planned(missing), opts, &stats); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return stats, cerr
 			}
@@ -309,23 +332,40 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 			if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
 				return stats, serr
 			}
+			if missing, err = snap.sweep(ctx, st); err != nil {
+				return stats, err
+			}
+			fresh = true
 			continue
 		}
-		dataFixes, parFixes, err := r.planRound(ctx, cache, missing.Data, missingPar, opts.Workers)
+		dataFixes, parFixes, err := r.planRound(ctx, snap, missing.Data, planned(missing), opts.Workers)
 		if err != nil {
 			return stats, err
 		}
 
 		if len(dataFixes) == 0 && len(parFixes) == 0 {
 			zeroRounds++
-			if zeroRounds > opts.Patience {
-				final = &missing
-				break // fixpoint: nothing more is repairable
+			if zeroRounds > opts.Patience && fresh {
+				break // fixpoint: nothing a fresh sweep reports is repairable
 			}
-			// Flaky reads may have starved this round; give the backend
-			// time to recover before trying again.
-			if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
-				return stats, serr
+			if zeroRounds <= opts.Patience {
+				// Flaky reads may have starved this round; give the
+				// backend time to recover before trying again.
+				if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
+					return stats, serr
+				}
+			}
+			tracked := missing
+			if missing, err = snap.sweep(ctx, st); err != nil {
+				return stats, err
+			}
+			fresh = true
+			// Sweeps list blocks in a fixed order, so equal slices mean
+			// nothing was lost or restored mid-run. Otherwise the fresh set
+			// gets one more round, which stops at once if it is fruitless.
+			if zeroRounds > opts.Patience && slices.Equal(tracked.Data, missing.Data) &&
+				slices.Equal(planned(tracked), planned(missing)) {
+				break // fixpoint
 			}
 			continue
 		}
@@ -333,9 +373,10 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 
 		// ...then commit the round as one batch, making this round's
 		// repairs visible to the next. Store implementations copy (or
-		// transmit) on PutMany — see the Store contract — so the planner's
-		// pooled buffers can be recycled as soon as the commit returns,
-		// keeping whole-round repair allocation-free in steady state.
+		// transmit) on PutMany — see the Store contract — so the
+		// planner's pooled buffers stay engine-owned after the commit:
+		// they join the snapshot and return to the pool on eviction,
+		// keeping whole-lattice repair allocation-free in steady state.
 		commit := make([]store.Block, 0, len(dataFixes)+len(parFixes))
 		var commitBytes int64
 		for _, f := range dataFixes {
@@ -348,19 +389,17 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 		}
 		if opts.RateLimit != nil {
 			if lerr := opts.RateLimit.Acquire(ctx, len(commit), commitBytes); lerr != nil {
-				for _, b := range commit {
-					xorblock.PoolFor(len(b.Data)).Put(b.Data)
-				}
+				recycle(commit)
 				return stats, lerr
 			}
 		}
-		err = st.PutMany(ctx, commit)
-		for _, b := range commit {
-			xorblock.PoolFor(len(b.Data)).Put(b.Data)
-		}
-		if err != nil {
+		if err := st.PutMany(ctx, commit); err != nil {
+			recycle(commit)
 			return stats, fmt.Errorf("entangle: committing round %d (%d blocks): %w", round, len(commit), err)
 		}
+		snap.adopt(commit)
+		missing = subtract(missing, commit)
+		fresh = false
 
 		// Rounds counts productive rounds only, whatever zero-progress
 		// Patience rounds were interleaved: PerRound[i].Round == i+1 always
@@ -375,39 +414,76 @@ func (r *Repairer) repairLattice(ctx context.Context, st Store, opts Options) (S
 			stats.FirstRoundData = rs.DataRepaired
 		}
 	}
-	if final == nil {
+	if !fresh {
 		// Only the MaxRounds exit lands here: a commit happened after the
-		// last enumeration, so the accounting needs a fresh sweep.
-		m, err := st.Missing(ctx)
-		if err != nil {
-			return stats, fmt.Errorf("entangle: final missing-block accounting: %w", err)
+		// last sweep, so the accounting needs a fresh one.
+		if missing, err = snap.sweep(ctx, st); err != nil {
+			return stats, err
 		}
-		final = &m
 	}
-	stats.UnrepairedData = final.Data
-	stats.UnrepairedParities = final.Parities
+	stats.UnrepairedData = missing.Data
+	stats.UnrepairedParities = missing.Parities
 	return stats, nil
 }
 
-// roundCache is the engine-owned snapshot of one repair round's working
-// set: every block any repair tuple of the round's missing blocks could
-// read, fetched with a single GetMany before planning starts. It serves
-// the planner as a Source — a ref absent from the snapshot (or fetched as
+// subtract returns m without the committed blocks, keeping m's order.
+func subtract(m store.Missing, commit []store.Block) store.Missing {
+	done := make(map[store.Ref]bool, len(commit))
+	for _, b := range commit {
+		done[b.Ref] = true
+	}
+	var out store.Missing
+	for _, i := range m.Data {
+		if !done[store.DataRef(i)] {
+			out.Data = append(out.Data, i)
+		}
+	}
+	for _, e := range m.Parities {
+		if !done[store.ParityRef(e)] {
+			out.Parities = append(out.Parities, e)
+		}
+	}
+	return out
+}
+
+// recycle returns engine-owned commit buffers to the block pool.
+func recycle(blocks []store.Block) {
+	for _, b := range blocks {
+		xorblock.PoolFor(len(b.Data)).Put(b.Data)
+	}
+}
+
+// roundCache is the engine-owned snapshot a whole-lattice run plans
+// against. It lives for the whole run: each round's prefetch adds the
+// working-set blocks it lacks, each commit adds the repaired blocks, and
+// entries outside the next round's working set are evicted. It serves the
+// planners as a Source — a ref absent from the snapshot (or fetched as
 // unavailable) reads as ErrNotFound, so a concurrent fault mid-round
-// cannot make two planners disagree about availability. The cache is
-// read-only after construction and therefore safe for any number of
-// planner goroutines.
+// cannot make two planners disagree about availability. Planners only
+// read it, between a prefetch and a commit, so any number of planner
+// goroutines may share it.
+//
+// Lattice blocks are write-once per key, so a copy fetched in an earlier
+// round still holds the correct content in a later one. Only the
+// engine's own commit buffers are recycled on eviction: fetched blocks
+// may alias the shared zero block, a store's own copies or a transport
+// frame, and are only ever dropped.
 type roundCache struct {
-	blockSize int // learned from the first fetched block; 0 if none
-	data      map[int][]byte
-	par       map[edgeKey][]byte
+	blockSize int // learned from the first fetched or committed block; 0 if none
+	blocks    map[store.Ref]cached
+}
+
+// cached is one snapshot entry.
+type cached struct {
+	b     []byte // nil: fetched, but the store could not serve it
+	owned bool   // b is an engine commit buffer from xorblock's pool
 }
 
 var _ Source = (*roundCache)(nil)
 
 // GetData implements Source against the snapshot.
 func (c *roundCache) GetData(ctx context.Context, i int) ([]byte, error) {
-	if b := c.data[i]; b != nil {
+	if b := c.blocks[store.DataRef(i)].b; b != nil {
 		return b, nil
 	}
 	return nil, fmt.Errorf("entangle: d%d not in round snapshot: %w", i, store.ErrNotFound)
@@ -423,10 +499,57 @@ func (c *roundCache) GetParity(ctx context.Context, e lattice.Edge) ([]byte, err
 		}
 		return store.ZeroBlock(c.blockSize), nil
 	}
-	if b := c.par[keyOf(e)]; b != nil {
+	if b := c.blocks[store.ParityRef(e)].b; b != nil {
 		return b, nil
 	}
 	return nil, fmt.Errorf("entangle: parity %v not in round snapshot: %w", e, store.ErrNotFound)
+}
+
+// put records b under ref.
+func (c *roundCache) put(ref store.Ref, b []byte, owned bool) {
+	if c.blockSize == 0 && b != nil {
+		c.blockSize = len(b)
+	}
+	c.blocks[ref] = cached{b: b, owned: owned}
+}
+
+// adopt makes a committed round's buffers snapshot entries the engine
+// owns.
+func (c *roundCache) adopt(commit []store.Block) {
+	for _, b := range commit {
+		c.put(b.Ref, b.Data, true)
+	}
+}
+
+// evict drops every entry keep rejects.
+func (c *roundCache) evict(keep func(store.Ref, cached) bool) {
+	for ref, e := range c.blocks {
+		if keep(ref, e) {
+			continue
+		}
+		if e.owned {
+			xorblock.PoolFor(len(e.b)).Put(e.b)
+		}
+		delete(c.blocks, ref)
+	}
+}
+
+// release returns every owned buffer to the pool at the end of a run.
+func (c *roundCache) release() {
+	c.evict(func(store.Ref, cached) bool { return false })
+}
+
+// sweep runs one CRC-verified Missing enumeration. The store has just
+// given its current view, so entries it could not serve earlier are
+// forgotten: a read dropped by a flaky backend is retried by the next
+// prefetch instead of staying unavailable for the rest of the run.
+func (c *roundCache) sweep(ctx context.Context, st Store) (store.Missing, error) {
+	m, err := st.Missing(ctx)
+	if err != nil {
+		return store.Missing{}, fmt.Errorf("entangle: enumerating missing blocks: %w", err)
+	}
+	c.evict(func(_ store.Ref, e cached) bool { return e.b != nil })
+	return m, nil
 }
 
 // prefetchAttempts bounds the in-round retries of the working-set batch,
@@ -438,30 +561,25 @@ const prefetchAttempts = 3
 // may read: both parities of every pp-tuple of each missing data block,
 // and the data block plus companion parity of every dp-tuple option of
 // each missing parity. Virtual edges are excluded (they never need
-// fetching).
-func (r *Repairer) workingSet(missingData []int, missingPar []lattice.Edge) ([]store.Ref, error) {
+// fetching). It returns the refs in enumeration order and as a set.
+func (r *Repairer) workingSet(missingData []int, missingPar []lattice.Edge) ([]store.Ref, map[store.Ref]bool, error) {
 	var refs []store.Ref
-	seenData := make(map[int]bool)
-	seenPar := make(map[edgeKey]bool)
-	addData := func(i int) {
-		if !seenData[i] {
-			seenData[i] = true
-			refs = append(refs, store.DataRef(i))
+	seen := make(map[store.Ref]bool)
+	add := func(ref store.Ref) {
+		if !seen[ref] {
+			seen[ref] = true
+			refs = append(refs, ref)
 		}
 	}
 	addPar := func(e lattice.Edge) {
-		if e.IsVirtual() {
-			return
-		}
-		if k := keyOf(e); !seenPar[k] {
-			seenPar[k] = true
-			refs = append(refs, store.ParityRef(e))
+		if !e.IsVirtual() {
+			add(store.ParityRef(e))
 		}
 	}
 	for _, i := range missingData {
 		tuples, err := r.lat.Tuples(i)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, t := range tuples {
 			addPar(t.In)
@@ -471,80 +589,85 @@ func (r *Repairer) workingSet(missingData []int, missingPar []lattice.Edge) ([]s
 	for _, e := range missingPar {
 		opts, err := r.lat.ParityOptions(e)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, opt := range opts {
-			addData(opt.Data)
+			add(store.DataRef(opt.Data))
 			addPar(opt.Parity)
 		}
 	}
-	return refs, nil
+	return refs, seen, nil
 }
 
-// prefetchRound issues the round's single GetMany over the working set
-// and builds the snapshot the planners read from. A failed batch is
-// retried a bounded number of times with delay between attempts (flaky
-// backends burst; pools need their redial backoff to land); nil entries
-// — blocks the store cannot serve — are recorded as known-missing.
-// Fetched bytes are counted into stats and charged against the rate
-// limiter after the batch lands (the debt model: the engine only learns
-// sizes by reading).
-func (r *Repairer) prefetchRound(ctx context.Context, st Store, missingData []int, missingPar []lattice.Edge, opts Options, stats *Stats) (*roundCache, error) {
-	refs, err := r.workingSet(missingData, missingPar)
+// prefetchRound readies the snapshot for one round: it evicts entries
+// outside the round's working set, then issues one GetMany for the
+// working-set refs the snapshot lacks and the tracked missing set does not
+// list — nothing at all when the snapshot already covers the round. A
+// failed batch is retried a bounded number of times with delay between
+// attempts (flaky backends burst; pools need their redial backoff to
+// land); nil entries — blocks the store cannot serve — are recorded as
+// unavailable until the next sweep. Fetched bytes are counted into stats
+// and charged against the rate limiter after the batch lands (the debt
+// model: the engine only learns sizes by reading).
+func (r *Repairer) prefetchRound(ctx context.Context, st Store, snap *roundCache, missing store.Missing, missingPar []lattice.Edge, opts Options, stats *Stats) error {
+	refs, inSet, err := r.workingSet(missing.Data, missingPar)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cache := &roundCache{
-		data: make(map[int][]byte, len(missingPar)),
-		par:  make(map[edgeKey][]byte, len(refs)),
+	snap.evict(func(ref store.Ref, _ cached) bool { return inSet[ref] })
+	known := make(map[store.Ref]bool, len(missing.Data)+len(missing.Parities))
+	for _, i := range missing.Data {
+		known[store.DataRef(i)] = true
 	}
-	if len(refs) == 0 {
-		return cache, nil
+	for _, e := range missing.Parities {
+		known[store.ParityRef(e)] = true
+	}
+	var want []store.Ref
+	for _, ref := range refs {
+		if _, held := snap.blocks[ref]; !held && !known[ref] {
+			want = append(want, ref)
+		}
+	}
+	if len(want) == 0 {
+		return nil
 	}
 	var blocks [][]byte
 	for attempt := 1; ; attempt++ {
-		blocks, err = st.GetMany(ctx, refs)
+		blocks, err = st.GetMany(ctx, want)
 		if err == nil {
 			break
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return cerr
 		}
 		if attempt >= prefetchAttempts {
-			return nil, fmt.Errorf("entangle: working-set prefetch failed after %d attempts: %w", attempt, err)
+			return fmt.Errorf("entangle: working-set prefetch failed after %d attempts: %w", attempt, err)
 		}
 		if serr := store.SleepCtx(ctx, opts.retryDelay()); serr != nil {
-			return nil, serr
+			return serr
 		}
 	}
-	if len(blocks) != len(refs) {
-		return nil, fmt.Errorf("entangle: working-set prefetch returned %d entries, want %d", len(blocks), len(refs))
+	if len(blocks) != len(want) {
+		return fmt.Errorf("entangle: working-set prefetch returned %d entries, want %d", len(blocks), len(want))
 	}
 	var fetched int64
 	served := 0
-	for idx, ref := range refs {
+	for idx, ref := range want {
 		b := blocks[idx]
 		if b != nil {
-			if cache.blockSize == 0 {
-				cache.blockSize = len(b)
-			}
 			fetched += int64(len(b))
 			served++
 		}
-		if ref.Parity {
-			cache.par[keyOf(ref.Edge)] = b
-		} else {
-			cache.data[ref.Index] = b
-		}
+		snap.put(ref, b, false)
 	}
 	stats.BytesRead += fetched
 	hotpath.CountRepairRead(int(fetched))
 	if opts.RateLimit != nil {
 		if err := opts.RateLimit.Acquire(ctx, served, fetched); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return cache, nil
+	return nil
 }
 
 // dataFix and parFix are planned repairs awaiting commit.

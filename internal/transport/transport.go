@@ -618,14 +618,25 @@ func writeRequest(w io.Writer, op byte, key string, payload []byte) error {
 	if len(payload) > MaxPayloadLen {
 		return fmt.Errorf("transport: payload too large (%d bytes)", len(payload))
 	}
-	buf := getBuf(1 + 2 + len(key) + 4 + len(payload))[:0]
-	buf = append(buf, op)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(key)))
-	buf = append(buf, key...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	putBuf(buf)
+	head := getBuf(1 + 2 + len(key) + 4)[:0]
+	head = append(head, op)
+	head = binary.BigEndian.AppendUint16(head, uint16(len(key)))
+	head = append(head, key...)
+	head = binary.BigEndian.AppendUint32(head, uint32(len(payload)))
+	err := writeFrame(w, head, payload)
+	putBuf(head)
+	return err
+}
+
+// writeFrame writes a frame's header and payload as one vectored write,
+// referencing the payload in place: a single-block OpPut request or OpGet
+// response never copies its block into a contiguous frame buffer.
+func writeFrame(w io.Writer, head, payload []byte) error {
+	segs := net.Buffers{head, payload}
+	if len(payload) == 0 {
+		segs = segs[:1]
+	}
+	_, err := segs.WriteTo(w)
 	return err
 }
 
@@ -662,13 +673,10 @@ func writeResponse(w io.Writer, status byte, payload []byte) error {
 	if len(payload) > MaxPayloadLen {
 		return fmt.Errorf("transport: payload too large (%d bytes)", len(payload))
 	}
-	buf := getBuf(1 + 4 + len(payload))[:0]
-	buf = append(buf, status)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	putBuf(buf)
-	return err
+	var head [5]byte
+	head[0] = status
+	binary.BigEndian.PutUint32(head[1:], uint32(len(payload)))
+	return writeFrame(w, head[:], payload)
 }
 
 func readResponse(r io.Reader) (status byte, payload []byte, err error) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -272,5 +273,48 @@ func TestClientPoisonedAfterDeadline(t *testing.T) {
 			t.Fatalf("pool never recovered after the deadline: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// contiguousRequest and contiguousResponse are the single-buffer frame
+// encoders writeRequest and writeResponse replaced; they pin that the
+// vectored writers put the same bytes on the wire.
+func contiguousRequest(op byte, key string, payload []byte) []byte {
+	buf := []byte{op}
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(key)))
+	buf = append(buf, key...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	return append(buf, payload...)
+}
+
+func contiguousResponse(status byte, payload []byte) []byte {
+	buf := []byte{status}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	return append(buf, payload...)
+}
+
+// TestVectoredFramesMatchContiguousEncoding pins the wire format of the
+// single-block frames, which are written as a header segment plus the
+// payload in place.
+func TestVectoredFramesMatchContiguousEncoding(t *testing.T) {
+	block := make([]byte, 64<<10)
+	for i := range block {
+		block[i] = byte(i*7 + 3)
+	}
+	for _, payload := range [][]byte{nil, {0xA5}, block} {
+		var req bytes.Buffer
+		if err := writeRequest(&req, OpPut, "tenant/p3,5(h)", payload); err != nil {
+			t.Fatal(err)
+		}
+		if want := contiguousRequest(OpPut, "tenant/p3,5(h)", payload); !bytes.Equal(req.Bytes(), want) {
+			t.Errorf("request frame with a %d-byte payload differs from the contiguous encoding", len(payload))
+		}
+		var resp bytes.Buffer
+		if err := writeResponse(&resp, StatusOK, payload); err != nil {
+			t.Fatal(err)
+		}
+		if want := contiguousResponse(StatusOK, payload); !bytes.Equal(resp.Bytes(), want) {
+			t.Errorf("response frame with a %d-byte payload differs from the contiguous encoding", len(payload))
+		}
 	}
 }
