@@ -15,12 +15,15 @@
 // the broker obtains the dp-tuple ids from the lattice, chooses a p-block,
 // computes its location key, fetches it from the responsible node, and
 // XORs it with the local d-block. Data blocks lost with the user's machine
-// are regenerated from pp-tuples fetched from two nodes. Whole-lattice
-// repair reuses the round-based engine of internal/entangle through a
-// network-backed BlockStore adapter that is pure routing + batching: the
-// engine's opening and closing missing-block sweeps and its prefetch
-// GetMany each travel as one batched frame per storage node, and each
-// round's commit leaves as one PutMany frame per storage node.
+// are regenerated from pp-tuples fetched from two nodes. A degraded Read
+// decodes through a ring of the parities it fetched last: on every strand
+// the out-parity of d_i is the in-parity of the strand's next block, so a
+// sequential restore fetches one new parity per block, not two.
+// Whole-lattice repair reuses the round-based engine of internal/entangle
+// through a network-backed BlockStore adapter that is pure routing +
+// batching: the engine's opening and closing missing-block sweeps and its
+// prefetch GetMany each travel as one batched frame per storage node, and
+// each round's commit leaves as one PutMany frame per storage node.
 package cooperative
 
 import (
@@ -47,7 +50,9 @@ var ErrNotFound = fmt.Errorf("cooperative: %w", store.ErrNotFound)
 // this interface; InMemoryNode provides a local test double.
 type NodeStore interface {
 	// Get fetches a block; implementations return ErrNotFound (or any
-	// error) when the block is unavailable.
+	// error) when the block is unavailable. The returned slice belongs to
+	// the caller, which may keep it: Read holds recent parities in its
+	// ring.
 	Get(ctx context.Context, key string) ([]byte, error)
 	// Put stores a block. Implementations must copy or transmit data
 	// before returning — never retain it: the broker recycles its
@@ -334,6 +339,10 @@ type Broker struct {
 	mu    sync.RWMutex
 	local map[int][]byte // the user's own d-blocks; guarded by mu
 	count int            // blocks backed up so far; guarded by mu
+	// ring holds the parities Read fetched most recently, one entry per
+	// strand, the oldest overwritten first; guarded by mu. See readSource.
+	ring     []ringEntry
+	ringNext int // next ring slot to overwrite; guarded by mu
 }
 
 // NewBroker returns a broker for one user's lattice over a fixed node
@@ -377,6 +386,7 @@ func NewRoutedBroker(user string, params lattice.Params, blockSize int, router R
 		rep:       rep,
 		router:    router,
 		local:     make(map[int][]byte),
+		ring:      make([]ringEntry, params.StrandCount()),
 	}, nil
 }
 
@@ -611,7 +621,11 @@ func (b *Broker) DropLocal(positions ...int) {
 // Read returns block i: from the local store in the failure-free case
 // ("users can access their data directly from their local computers,
 // decoding is not required"), otherwise decoded from remote parities via
-// the first complete pp-tuple, falling back to multi-round repair.
+// the first complete pp-tuple, falling back to multi-round repair. The
+// single-XOR decode reads its parities through the broker's ring of
+// recently fetched parities (readSource), so reading consecutive
+// positions fetches one new parity per block; the whole-lattice fallback
+// never sees the ring.
 func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 	b.mu.RLock()
 	count := b.count
@@ -627,7 +641,7 @@ func (b *Broker) Read(ctx context.Context, i int) ([]byte, error) {
 		return nil, fmt.Errorf("cooperative: position %d out of range [1,%d]", i, count)
 	}
 	st := b.netStore()
-	if data, err := b.rep.RepairData(ctx, st, i); err == nil {
+	if data, err := b.rep.RepairData(ctx, readSource{st}, i); err == nil {
 		out := make([]byte, len(data))
 		copy(out, data)
 		b.mu.Lock()
@@ -711,9 +725,11 @@ type RecoverOptions struct {
 
 // RecoverState rebuilds a broker's encoder state after a crash: the
 // strand heads are re-fetched from the storage nodes (§IV.A: "it only
-// needs to retrieve the p-blocks from the remote nodes"). opts.Count
-// tells the recovered broker how many blocks had been backed up;
-// opts.Local holds the data blocks still present on the user's machine.
+// needs to retrieve the p-blocks from the remote nodes") in one batched
+// GetMany, one frame per node. opts.Count tells the recovered broker how
+// many blocks had been backed up; opts.Local holds the data blocks still
+// present on the user's machine. It empties Read's parity ring: a lower
+// count lets the next Backup rewrite keys the ring may hold.
 func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 	count, local := opts.Count, opts.Local
 	if count < 0 {
@@ -727,10 +743,13 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 		copy(cp, d)
 		b.local[i] = cp
 	}
+	clear(b.ring)
+	b.ringNext = 0
 	b.mu.Unlock()
 	next := count + 1
 	lat := b.enc.Lattice()
 	heads := make([]entangle.StrandHead, 0, b.params.StrandCount())
+	refs := make([]store.Ref, 0, b.params.StrandCount())
 	seen := make(map[int]bool, b.params.StrandCount())
 	// The head of a strand is the out-edge of the last node ≤ count on it;
 	// scan backwards until every strand is covered or positions run out.
@@ -748,20 +767,85 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 			if err != nil {
 				return err
 			}
-			key := b.parityKey(out)
-			node, _, err := b.router.Route(ctx, key, out)
-			if err != nil {
-				return fmt.Errorf("cooperative: routing head %s: %w", key, err)
-			}
-			data, err := node.Get(ctx, key)
-			if err != nil {
-				return fmt.Errorf("cooperative: recovering head %s: %w", key, err)
-			}
-			heads = append(heads, entangle.StrandHead{StrandID: sid, Data: data})
+			heads = append(heads, entangle.StrandHead{StrandID: sid})
+			refs = append(refs, store.ParityRef(out))
 		}
+	}
+	// An unroutable head, an unreachable node and a missing block all
+	// come back as a nil entry.
+	blocks, err := b.netStore().GetMany(ctx, refs)
+	if err != nil {
+		return fmt.Errorf("cooperative: recovering heads: %w", err)
+	}
+	for k, data := range blocks {
+		if data == nil {
+			return fmt.Errorf("cooperative: recovering head %s: %w", b.parityKey(refs[k].Edge), store.ErrNotFound)
+		}
+		heads[k].Data = data
 	}
 	// Strands never touched (count small) keep their zero seed.
 	return b.enc.RestoreHeads(next, heads)
+}
+
+// ringEntry is one parity in Read's ring; a nil data marks an empty slot.
+type ringEntry struct {
+	edge lattice.Edge
+	data []byte
+}
+
+// readSource is the read-only Source Read's single-XOR decode goes
+// through: GetParity answers from the broker's ring of recently fetched
+// parities when the edge is there, and otherwise fetches through the
+// netStore and remembers the block, evicting the oldest entry. Virtual
+// edges and failed fetches never enter the ring. The ring has one slot
+// per strand, enough to carry every strand's last out-parity to the
+// strand's next block, so a sequential restore fetches each parity once.
+//
+// A cached copy is never stale. Lattice blocks are write-once per key
+// while count ≥ e.Left, netStore.GetParity refuses edges past count, and
+// RecoverState — the only call that lowers count, after which a Backup
+// rewrites keys — empties the ring. A cached copy can outlive its block
+// on the node, which is harmless for a decode but would hide the loss
+// from Missing, Health and repair, so only Read's single XOR uses
+// readSource; the netStore stays pure routing and batching.
+//
+// The cached blocks are Get payloads the caller owns. The XOR only reads
+// them and Read stores its fresh result, so nothing aliases the ring.
+type readSource struct {
+	st *netStore
+}
+
+var _ store.Source = readSource{}
+
+// GetData implements store.Source: the user's local block store.
+func (r readSource) GetData(ctx context.Context, i int) ([]byte, error) {
+	return r.st.GetData(ctx, i)
+}
+
+// GetParity implements store.Source: the ring's copy when it holds e,
+// otherwise one fetch from the responsible node, remembered.
+func (r readSource) GetParity(ctx context.Context, e lattice.Edge) ([]byte, error) {
+	if e.IsVirtual() {
+		return r.st.GetParity(ctx, e)
+	}
+	b := r.st.b
+	b.mu.RLock()
+	for _, en := range b.ring {
+		if en.data != nil && en.edge == e {
+			b.mu.RUnlock()
+			return en.data, nil
+		}
+	}
+	b.mu.RUnlock()
+	data, err := r.st.GetParity(ctx, e)
+	if err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	b.ring[b.ringNext] = ringEntry{edge: e, data: data}
+	b.ringNext = (b.ringNext + 1) % len(b.ring)
+	b.mu.Unlock()
+	return data, nil
 }
 
 // netStore adapts the broker's view of the network to the unified
@@ -771,7 +855,8 @@ func (b *Broker) RecoverState(ctx context.Context, opts RecoverOptions) error {
 // implementing BatchNodeStore). It keeps no cache — whole-lattice
 // repair's read locality lives in the engine's own snapshot, carried
 // across a run's rounds, which arrives here as one GetMany for the
-// working-set blocks it lacks (usually once per run).
+// working-set blocks it lacks (usually once per run), and a degraded
+// Read's lives in the readSource ring in front of it.
 type netStore struct {
 	b *Broker // block state accessed under b.mu (the broker's own lock)
 }

@@ -161,6 +161,150 @@ func TestReadTotalLocalLoss(t *testing.T) {
 	}
 }
 
+// totalGets sums the single-block Gets the nodes served.
+func totalGets(mems []*InMemoryNode) int {
+	n := 0
+	for _, m := range mems {
+		n += m.GetCalls()
+	}
+	return n
+}
+
+func TestReadSequentialFetchesEachParityOnce(t *testing.T) {
+	// On every strand the out-parity of d_i is the in-parity of the
+	// strand's next block, so a sequential restore through the broker's
+	// parity ring needs one new parity per block: n Gets for n blocks,
+	// where decoding each pp-tuple afresh costs about 2n.
+	const n = 40
+	nodes, mems := newNetwork(8)
+	b := newBroker(t, nodes)
+	originals := backupRandom(t, b, n, 4)
+	check := func(order []int) {
+		t.Helper()
+		b.DropLocal()
+		for _, i := range order {
+			got, err := b.Read(bg, i)
+			if err != nil {
+				t.Fatalf("Read(%d): %v", i, err)
+			}
+			if !bytes.Equal(got, originals[i]) {
+				t.Fatalf("Read(%d) mismatch", i)
+			}
+		}
+	}
+	sequential := make([]int, n)
+	for k := range sequential {
+		sequential[k] = k + 1
+	}
+	for _, m := range mems {
+		m.ResetCounters()
+	}
+	check(sequential)
+	if got := totalGets(mems); got != n {
+		t.Errorf("sequential pass over %d blocks served %d single Gets, want %d", n, got, n)
+	}
+
+	reverse := make([]int, n)
+	for k := range reverse {
+		reverse[k] = n - k
+	}
+	check(reverse)
+	random := append([]int(nil), sequential...)
+	rand.New(rand.NewSource(41)).Shuffle(n, func(a, c int) { random[a], random[c] = random[c], random[a] })
+	check(random)
+}
+
+func TestReadRingOutlivesDeletedParity(t *testing.T) {
+	// A parity deleted from its node after it entered the ring still
+	// decodes its neighbour correctly, and the ring never hides the loss
+	// from Missing.
+	nodes, mems := newNetwork(8)
+	b := newBroker(t, nodes)
+	originals := backupRandom(t, b, 40, 12)
+	b.DropLocal()
+	for i := 1; i <= 20; i++ {
+		if _, err := b.Read(bg, i); err != nil {
+			t.Fatalf("Read(%d): %v", i, err)
+		}
+	}
+	// Read(20) fetched p_{20,22}, the in-parity of d_22.
+	e, err := b.rep.Lattice().OutEdge(lattice.Horizontal, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := b.parityKey(e)
+	node := mems[flatIndex(t, b, key, e)]
+	node.mu.Lock()
+	delete(node.blocks, key)
+	node.mu.Unlock()
+	for _, i := range []int{21, 22} {
+		b.DropLocal(i)
+		got, err := b.Read(bg, i)
+		if err != nil {
+			t.Fatalf("Read(%d) after %v was deleted: %v", i, e, err)
+		}
+		if !bytes.Equal(got, originals[i]) {
+			t.Errorf("Read(%d) mismatch after %v was deleted", i, e)
+		}
+	}
+	m, err := b.Missing(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Parities) != 1 || m.Parities[0] != e {
+		t.Errorf("Missing reports parities %v, want only %v", m.Parities, e)
+	}
+}
+
+func TestReadAfterRecoverStateRewind(t *testing.T) {
+	// RecoverState may lower count, after which Backup rewrites keys the
+	// ring holds; the ring must not serve the old blocks afterwards.
+	nodes, _ := newNetwork(5)
+	b := newBroker(t, nodes)
+	old := backupRandom(t, b, 20, 21)
+	b.DropLocal()
+	for i := 1; i <= 20; i++ {
+		got, err := b.Read(bg, i)
+		if err != nil {
+			t.Fatalf("Read(%d): %v", i, err)
+		}
+		if !bytes.Equal(got, old[i]) {
+			t.Fatalf("Read(%d) mismatch before the rewind", i)
+		}
+	}
+	local := make(map[int][]byte, 10)
+	for i := 1; i <= 10; i++ {
+		local[i] = old[i]
+	}
+	if err := b.RecoverState(bg, RecoverOptions{Count: 10, Local: local}); err != nil {
+		t.Fatalf("RecoverState: %v", err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	fresh := make(map[int][]byte, 10)
+	for i := 11; i <= 20; i++ {
+		data := make([]byte, testBlockSize)
+		rng.Read(data)
+		pos, err := b.Backup(bg, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos != i {
+			t.Fatalf("Backup after rewind wrote position %d, want %d", pos, i)
+		}
+		fresh[i] = data
+	}
+	b.DropLocal()
+	for i := 11; i <= 20; i++ {
+		got, err := b.Read(bg, i)
+		if err != nil {
+			t.Fatalf("Read(%d) after the rewind: %v", i, err)
+		}
+		if !bytes.Equal(got, fresh[i]) {
+			t.Errorf("Read(%d) after the rewind returned stale content", i)
+		}
+	}
+}
+
 func TestReadValidation(t *testing.T) {
 	nodes, _ := newNetwork(3)
 	b := newBroker(t, nodes)
@@ -270,7 +414,7 @@ func TestBrokerCrashRecovery(t *testing.T) {
 	}
 
 	// Crash-and-recover broker on a separate network and user.
-	nodes2, _ := newNetwork(5)
+	nodes2, mems2 := newNetwork(5)
 	first, err := NewBroker("bob", testParams, testBlockSize, nodes2)
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +434,20 @@ func TestBrokerCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, m := range mems2 {
+		m.ResetCounters()
+	}
 	if err := second.RecoverState(bg, RecoverOptions{Count: 25, Local: localCopy}); err != nil {
 		t.Fatalf("RecoverState: %v", err)
+	}
+	// The strand heads travel as one GetMany frame per node.
+	for k, m := range mems2 {
+		if got := m.GetCalls(); got != 0 {
+			t.Errorf("node %d served %d single Gets during recovery, want 0", k, got)
+		}
+		if got := m.BatchCalls(); got > 1 {
+			t.Errorf("node %d served %d GetMany frames during recovery, want at most 1", k, got)
+		}
 	}
 	for _, data := range blocks[25:] {
 		if _, err := second.Backup(bg, data); err != nil {
