@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -142,8 +143,8 @@ func (m *Manager) Usage(tenant string) ([]transport.TenantUsage, error) {
 		for _, u := range n.stat.Tenants {
 			t := totals[u.Tenant]
 			t.Tenant = u.Tenant
-			t.Bytes += u.Bytes
-			t.Blocks += u.Blocks
+			t.Bytes = satAdd(t.Bytes, u.Bytes)
+			t.Blocks = satAdd(t.Blocks, u.Blocks)
 			totals[u.Tenant] = t
 		}
 	}
@@ -161,6 +162,16 @@ func (m *Manager) Usage(tenant string) ([]transport.TenantUsage, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out, nil
+}
+
+// satAdd adds two non-negative counters, saturating at math.MaxInt64:
+// one tenant's total overflowing must not turn into a negative entry
+// that fails the whole usage reply.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // RouteInfo is one volume's authoritative placement.

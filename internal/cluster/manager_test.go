@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -307,6 +310,44 @@ func TestManagerUsageAggregation(t *testing.T) {
 	}
 	if len(none) != 0 {
 		t.Fatalf("Usage(ghost) = %+v, want empty", none)
+	}
+}
+
+// TestManagerUsageSaturatesOverWire pins the fleet-wide usage sum at
+// math.MaxInt64: two heartbeats whose bytes for one tenant add past
+// int64 must not fail the usage reply for every tenant.
+func TestManagerUsageSaturatesOverWire(t *testing.T) {
+	h := newManagerHarness(t)
+	c, err := transport.DialPool(h.addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ctx := context.Background()
+	half := int64(math.MaxInt64/2 + 1)
+	for _, id := range []string{"n1", "n2"} {
+		err := c.NodeStat(ctx, transport.NodeStat{ID: id, Addr: "addr-" + id, Tenants: []transport.TenantUsage{
+			{Tenant: "acme", Bytes: half, Blocks: 1},
+			{Tenant: "bob", Bytes: 10, Blocks: 1},
+		}})
+		if err != nil {
+			t.Fatalf("heartbeat %s: %v", id, err)
+		}
+	}
+	all, err := c.Usage(ctx, "")
+	if err != nil {
+		t.Fatalf("Usage(all): %v", err)
+	}
+	want := []transport.TenantUsage{
+		{Tenant: "acme", Bytes: math.MaxInt64, Blocks: 2},
+		{Tenant: "bob", Bytes: 20, Blocks: 2},
+	}
+	if !reflect.DeepEqual(all, want) {
+		t.Fatalf("Usage(all) = %+v, want %+v", all, want)
+	}
+	one, err := c.Usage(ctx, "acme")
+	if err != nil || !reflect.DeepEqual(one, want[:1]) {
+		t.Fatalf("Usage(acme) = %+v, %v; want %+v", one, err, want[:1])
 	}
 }
 

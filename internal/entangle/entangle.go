@@ -120,29 +120,6 @@ func (e *Encoder) EntangleInto(data []byte, bufs [][]byte) (Entanglement, error)
 	return e.entangle(data, func(k int) []byte { return bufs[k] })
 }
 
-// EntangleBatch entangles blocks in order, drawing every parity buffer from
-// pool (which must hand out blockSize-byte blocks). The caller owns the
-// returned parity buffers and should Put them back into the pool when done.
-// A nil pool falls back to plain allocation.
-func (e *Encoder) EntangleBatch(blocks [][]byte, pool *xorblock.Pool) ([]Entanglement, error) {
-	if pool != nil && pool.BlockSize() != e.blockSize {
-		return nil, fmt.Errorf("entangle: pool block size %d, want %d", pool.BlockSize(), e.blockSize)
-	}
-	alloc := func(int) []byte { return make([]byte, e.blockSize) }
-	if pool != nil {
-		alloc = func(int) []byte { return pool.Get() }
-	}
-	out := make([]Entanglement, 0, len(blocks))
-	for _, data := range blocks {
-		ent, err := e.entangle(data, alloc)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ent)
-	}
-	return out, nil
-}
-
 // entangle is the shared core: buf(k) supplies the output buffer for the
 // k-th parity. Each strand head is advanced in place with a single XOR pass
 // (head = data XOR head) and copied out once, rather than XOR-allocating a

@@ -95,47 +95,6 @@ func TestEntangleIntoValidation(t *testing.T) {
 	}
 }
 
-func TestEntangleBatchMatchesEntangle(t *testing.T) {
-	params := lattice.Params{Alpha: 3, S: 5, P: 5}
-	const n, blockSize = 40, 24
-	blocks := randBlocks(n, blockSize, 7)
-	want, _ := entangleAll(t, params, blocks, blockSize)
-
-	pool := xorblock.NewPool(blockSize)
-	enc, err := NewEncoder(params, blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ents, err := enc.EntangleBatch(blocks, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != n {
-		t.Fatalf("got %d entanglements, want %d", len(ents), n)
-	}
-	for _, ent := range ents {
-		for _, p := range ent.Parities {
-			if !bytes.Equal(p.Data, want[p.Edge]) {
-				t.Fatalf("parity %v differs from sequential encode", p.Edge)
-			}
-			pool.Put(p.Data)
-		}
-	}
-
-	// Pool size mismatch is rejected.
-	if _, err := enc.EntangleBatch(blocks, xorblock.NewPool(blockSize+1)); err == nil {
-		t.Error("mismatched pool accepted")
-	}
-	// Nil pool allocates.
-	enc2, err := NewEncoder(params, blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := enc2.EntangleBatch(blocks[:2], nil); err != nil {
-		t.Errorf("nil pool: %v", err)
-	}
-}
-
 func TestPlanApplyMatchesEntangle(t *testing.T) {
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
 	const n, blockSize = 50, 16
@@ -200,6 +159,9 @@ func TestApplyOpValidation(t *testing.T) {
 	}
 }
 
+// TestRepairIntoVariants drives the pooled single-block repairs the
+// round planner and scoped repair build on: each writes the XOR of its
+// tuple into a pool block, and an unrepairable block takes none.
 func TestRepairIntoVariants(t *testing.T) {
 	params := lattice.Params{Alpha: 3, S: 2, P: 5}
 	const n, blockSize = 40, 16
@@ -207,13 +169,14 @@ func TestRepairIntoVariants(t *testing.T) {
 	r := mustRepairer(t, params)
 
 	store.LoseData(17)
-	dst := make([]byte, blockSize)
-	if err := r.RepairDataInto(bg, dst, store, 17); err != nil {
+	got, err := r.repairDataPooled(bg, store, 17)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, originals[17]) {
-		t.Error("RepairDataInto produced wrong content")
+	if !bytes.Equal(got, originals[17]) {
+		t.Error("repairDataPooled produced wrong content")
 	}
+	xorblock.PoolFor(blockSize).Put(got)
 
 	lat := r.Lattice()
 	e, err := lat.OutEdge(lattice.Horizontal, 20)
@@ -226,16 +189,15 @@ func TestRepairIntoVariants(t *testing.T) {
 	}
 	want = append([]byte(nil), want...)
 	store.LoseParity(e)
-	if err := r.RepairParityInto(bg, dst, store, e); err != nil {
+	got, err = r.repairParityPooled(bg, store, e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, want) {
-		t.Error("RepairParityInto produced wrong content")
+	if !bytes.Equal(got, want) {
+		t.Error("repairParityPooled produced wrong content")
 	}
+	xorblock.PoolFor(blockSize).Put(got)
 
-	// ErrUnrepairable must leave dst untouched.
-	marker := bytes.Repeat([]byte{0xAB}, blockSize)
-	copy(dst, marker)
 	hopeless := NewMemoryStore(blockSize)
 	for i := 1; i <= n; i++ {
 		hopeless.PutData(bg, i, originals[i])
@@ -243,10 +205,7 @@ func TestRepairIntoVariants(t *testing.T) {
 	}
 	// No parities at all: nothing to XOR... except virtual-edge tuples near
 	// the origin, so probe a deep position.
-	if err := r.RepairDataInto(bg, dst, hopeless, 30); !errors.Is(err, ErrUnrepairable) {
-		t.Fatalf("err = %v, want ErrUnrepairable", err)
-	}
-	if !bytes.Equal(dst, marker) {
-		t.Error("ErrUnrepairable clobbered dst")
+	if got, err := r.repairDataPooled(bg, hopeless, 30); !errors.Is(err, ErrUnrepairable) || got != nil {
+		t.Fatalf("got %d bytes, err = %v; want nil, ErrUnrepairable", len(got), err)
 	}
 }

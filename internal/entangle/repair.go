@@ -66,17 +66,6 @@ func (r *Repairer) RepairData(ctx context.Context, src Source, i int) ([]byte, e
 	return xorblock.Xor(in, out)
 }
 
-// RepairDataInto is RepairData writing into a caller-supplied buffer, so
-// hot repair loops can recycle blocks instead of allocating one per repair.
-// dst must have the block size; it is untouched on ErrUnrepairable.
-func (r *Repairer) RepairDataInto(ctx context.Context, dst []byte, src Source, i int) error {
-	in, out, err := r.findDataTuple(ctx, src, i)
-	if err != nil {
-		return err
-	}
-	return xorblock.XorInto(dst, in, out)
-}
-
 // findDataTuple locates the first complete pp-tuple for data block i and
 // returns its two parity blocks.
 func (r *Repairer) findDataTuple(ctx context.Context, src Source, i int) (in, out []byte, err error) {
@@ -114,16 +103,6 @@ func (r *Repairer) RepairParity(ctx context.Context, src Source, e lattice.Edge)
 	return xorblock.Xor(d, p)
 }
 
-// RepairParityInto is RepairParity writing into a caller-supplied buffer.
-// dst must have the block size; it is untouched on ErrUnrepairable.
-func (r *Repairer) RepairParityInto(ctx context.Context, dst []byte, src Source, e lattice.Edge) error {
-	d, p, err := r.findParityOption(ctx, src, e)
-	if err != nil {
-		return err
-	}
-	return xorblock.XorInto(dst, d, p)
-}
-
 // findParityOption locates the first complete dp-tuple for the parity on e
 // and returns the data block and companion parity.
 func (r *Repairer) findParityOption(ctx context.Context, src Source, e lattice.Edge) (d, p []byte, err error) {
@@ -158,9 +137,10 @@ type Options struct {
 	DataOnly bool
 	// Workers sets the number of goroutines planning repairs within a
 	// round ("the decoder can repair multiple single failures in
-	// parallel", §III.A). Values below 2 select the serial planner. The
-	// result is identical for any worker count: planning is read-only
-	// against the frozen pre-round state and commits stay ordered.
+	// parallel", §III.A). Values below 2 plan inline, on the calling
+	// goroutine. The result is identical for any worker count: planning
+	// is read-only against the frozen pre-round state and commits stay
+	// ordered.
 	Workers int
 	// Patience is the number of consecutive zero-progress rounds tolerated
 	// before declaring a fixpoint. The default 0 stops at the first round
@@ -683,44 +663,47 @@ type parFix struct {
 
 // planRound computes every repair possible against the round snapshot
 // without committing anything. With workers ≥ 2 the planning fans
-// out over goroutines; results keep the input order either way, so the
-// round outcome is identical.
+// out over goroutines; worker 0 always runs on the calling goroutine,
+// so below that no goroutine starts. Results keep the input order
+// either way, so the round outcome is identical.
 func (r *Repairer) planRound(ctx context.Context, src Source, missingData []int, missingPar []lattice.Edge, workers int) ([]dataFix, []parFix, error) {
-	if workers < 2 {
-		return r.planSerial(ctx, src, missingData, missingPar)
-	}
+	workers = max(workers, 1)
 	dataBufs := make([][]byte, len(missingData))
 	parBufs := make([][]byte, len(missingPar))
 	errs := make([]error, workers)
+	plan := func(w int) {
+		for idx := w; idx < len(missingData); idx += workers {
+			buf, err := r.repairDataPooled(ctx, src, missingData[idx])
+			if errors.Is(err, ErrUnrepairable) {
+				continue
+			}
+			if err != nil {
+				errs[w] = fmt.Errorf("entangle: repairing d%d: %w", missingData[idx], err)
+				return
+			}
+			dataBufs[idx] = buf
+		}
+		for idx := w; idx < len(missingPar); idx += workers {
+			buf, err := r.repairParityPooled(ctx, src, missingPar[idx])
+			if errors.Is(err, ErrUnrepairable) {
+				continue
+			}
+			if err != nil {
+				errs[w] = fmt.Errorf("entangle: repairing %v: %w", missingPar[idx], err)
+				return
+			}
+			parBufs[idx] = buf
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for idx := w; idx < len(missingData); idx += workers {
-				buf, err := r.repairDataPooled(ctx, src, missingData[idx])
-				if errors.Is(err, ErrUnrepairable) {
-					continue
-				}
-				if err != nil {
-					errs[w] = fmt.Errorf("entangle: repairing d%d: %w", missingData[idx], err)
-					return
-				}
-				dataBufs[idx] = buf
-			}
-			for idx := w; idx < len(missingPar); idx += workers {
-				buf, err := r.repairParityPooled(ctx, src, missingPar[idx])
-				if errors.Is(err, ErrUnrepairable) {
-					continue
-				}
-				if err != nil {
-					errs[w] = fmt.Errorf("entangle: repairing %v: %w", missingPar[idx], err)
-					return
-				}
-				parBufs[idx] = buf
-			}
+			plan(w)
 		}(w)
 	}
+	plan(0)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -738,32 +721,6 @@ func (r *Repairer) planRound(ctx context.Context, src Source, missingData []int,
 		if buf != nil {
 			parFixes = append(parFixes, parFix{edge: missingPar[idx], buf: buf})
 		}
-	}
-	return dataFixes, parFixes, nil
-}
-
-func (r *Repairer) planSerial(ctx context.Context, src Source, missingData []int, missingPar []lattice.Edge) ([]dataFix, []parFix, error) {
-	dataFixes := make([]dataFix, 0, len(missingData))
-	parFixes := make([]parFix, 0, len(missingPar))
-	for _, i := range missingData {
-		buf, err := r.repairDataPooled(ctx, src, i)
-		if errors.Is(err, ErrUnrepairable) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("entangle: repairing d%d: %w", i, err)
-		}
-		dataFixes = append(dataFixes, dataFix{pos: i, buf: buf})
-	}
-	for _, e := range missingPar {
-		buf, err := r.repairParityPooled(ctx, src, e)
-		if errors.Is(err, ErrUnrepairable) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("entangle: repairing %v: %w", e, err)
-		}
-		parFixes = append(parFixes, parFix{edge: e, buf: buf})
 	}
 	return dataFixes, parFixes, nil
 }

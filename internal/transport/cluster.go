@@ -7,65 +7,90 @@
 // accounting, a manager the fleet-wide aggregate, so operators and
 // brokers read usage instead of guessing it from quota refusals.
 //
-// Payload encodings (big endian, nested inside the normal frame; all
-// counters are uint64 on the wire and must fit int64):
-//
-//	nodeStat := version(1) addrLen(2) addr capacity(8) used(8)
-//	            segments(8) deadBytes(8) count(4) usage*
-//	usage    := idLen(2) id bytes(8) blocks(8)
-//	usageQ   := (empty; the frame key names the tenant, "" = all)
-//	usageR   := count(4) usage*
-//
-// The heartbeat's frame key carries the node ID. Oversized or malformed
-// frames earn a StatusError response, not a dropped connection.
+// Both ride the control codec (control.go). A heartbeat's key is the
+// node ID and its body the JSON NodeStat; a usage query is bodiless,
+// keyed by tenant ("" = all), and its reply is the JSON usageReply.
 package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 )
-
-// NodeStatVersion is the heartbeat payload version this build speaks. A
-// server refuses other versions with StatusError, so an incompatible
-// future heartbeat fails closed instead of half-parsing.
-const NodeStatVersion byte = 1
 
 // TenantUsage is one tenant's live footprint as carried by heartbeat and
 // usage frames. The anonymous tenant travels under the empty ID.
 type TenantUsage struct {
 	// Tenant is the tenant ID ("" = anonymous).
-	Tenant string
+	Tenant string `json:"tenant"`
 	// Bytes is the tenant's live block payload bytes.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 	// Blocks is the tenant's live block count.
-	Blocks int64
+	Blocks int64 `json:"blocks"`
 }
 
 // NodeStat is one storage node's heartbeat: identity, capacity and the
 // pressure signals a cluster manager places lattice volumes by.
 type NodeStat struct {
 	// ID names the node; it travels as the heartbeat frame's key.
-	ID string
+	ID string `json:"-"`
 	// Addr is the address brokers should dial to reach the node.
-	Addr string
+	Addr string `json:"addr"`
 	// Capacity is the node's configured byte capacity; 0 means
 	// unbounded (the node never refuses for space).
-	Capacity int64
+	Capacity int64 `json:"capacity"`
 	// Used is the node's live payload bytes across all tenants.
-	Used int64
+	Used int64 `json:"used"`
 	// Segments is the durable log's segment-file count (0 when the node
 	// is memory-only).
-	Segments int64
+	Segments int64 `json:"segments"`
 	// DeadBytes is the reclaimable log space — the node's compaction
 	// pressure.
-	DeadBytes int64
+	DeadBytes int64 `json:"deadBytes"`
 	// Tenants carries the per-tenant usage the node's registry
 	// computes; empty on single-tenant nodes.
-	Tenants []TenantUsage
+	Tenants []TenantUsage `json:"tenants"`
+}
+
+func (s NodeStat) validate() error {
+	if s.ID == "" {
+		return errors.New("transport: heartbeat without a node id")
+	}
+	if len(s.Addr) > MaxKeyLen {
+		return fmt.Errorf("transport: node address too long (%d bytes)", len(s.Addr))
+	}
+	for _, v := range []int64{s.Capacity, s.Used, s.Segments, s.DeadBytes} {
+		if v < 0 {
+			return fmt.Errorf("transport: negative counter %d in heartbeat", v)
+		}
+	}
+	return validateUsages(s.Tenants)
+}
+
+// usageReply is the OpUsage response body.
+type usageReply struct {
+	Tenants []TenantUsage `json:"tenants"`
+}
+
+func (r usageReply) validate() error { return validateUsages(r.Tenants) }
+
+// validateUsages holds a usage list to the limits both control bodies
+// share: at most MaxBatchEntries entries, bounded IDs, no negative
+// counters.
+func validateUsages(usages []TenantUsage) error {
+	if len(usages) > MaxBatchEntries {
+		return fmt.Errorf("transport: %d usage entries exceed limit %d", len(usages), MaxBatchEntries)
+	}
+	for _, u := range usages {
+		if len(u.Tenant) > MaxKeyLen {
+			return fmt.Errorf("transport: tenant id too long (%d bytes)", len(u.Tenant))
+		}
+		if u.Bytes < 0 || u.Blocks < 0 {
+			return fmt.Errorf("transport: negative usage for tenant %q", u.Tenant)
+		}
+	}
+	return nil
 }
 
 // ClusterHandler is the optional server extension behind OpNodeStat and
@@ -101,8 +126,8 @@ func (s *Server) serveNodeStat(conn net.Conn, key string, payload []byte) error 
 	if h == nil {
 		return writeResponse(conn, StatusError, []byte("transport: node does not accept heartbeats"))
 	}
-	stat, err := DecodeNodeStat(key, payload)
-	if err != nil {
+	stat := NodeStat{ID: key}
+	if err := decodeControl(payload, &stat); err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
 	if herr := h.NodeStat(stat); herr != nil {
@@ -118,14 +143,14 @@ func (s *Server) serveUsage(conn net.Conn, tenant string, payload []byte) error 
 	if h == nil {
 		return writeResponse(conn, StatusError, []byte("transport: node does not serve usage"))
 	}
-	if len(payload) != 0 {
-		return writeResponse(conn, StatusError, []byte("transport: usage query carries a payload"))
+	if err := decodeControl(payload, nil); err != nil {
+		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
 	usages, err := h.Usage(tenant)
 	if err != nil {
 		return writeResponse(conn, storeStatus(err), []byte(err.Error()))
 	}
-	resp, err := encodeUsages(usages)
+	resp, err := encodeControl(usageReply{Tenants: usages})
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
@@ -134,8 +159,16 @@ func (s *Server) serveUsage(conn net.Conn, tenant string, payload []byte) error 
 
 // NodeStat sends one heartbeat; stat.ID travels as the frame key.
 func (p *PoolClient) NodeStat(ctx context.Context, stat NodeStat) error {
+	payload, err := encodeControl(stat)
+	if err != nil {
+		return err
+	}
 	return p.withConn(ctx, func(c *pipeConn) error {
-		return nodeStatOp(ctx, c, stat)
+		status, resp, err := c.roundTrip(ctx, OpNodeStat, stat.ID, payload)
+		if err != nil {
+			return err
+		}
+		return ackError(status, resp)
 	})
 }
 
@@ -143,164 +176,8 @@ func (p *PoolClient) NodeStat(ctx context.Context, stat NodeStat) error {
 // every tenant's when tenant is "".
 func (p *PoolClient) Usage(ctx context.Context, tenant string) ([]TenantUsage, error) {
 	return withConnValue(ctx, p, func(c *pipeConn) ([]TenantUsage, error) {
-		return usageOp(ctx, c, tenant)
+		var reply usageReply
+		err := queryControl(ctx, c, OpUsage, tenant, &reply)
+		return reply.Tenants, err
 	})
-}
-
-func nodeStatOp(ctx context.Context, c *pipeConn, stat NodeStat) error {
-	payload, err := EncodeNodeStat(stat)
-	if err != nil {
-		return err
-	}
-	status, resp, err := c.roundTrip(ctx, OpNodeStat, stat.ID, payload)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return remoteError(status, resp)
-	}
-	return nil
-}
-
-func usageOp(ctx context.Context, c *pipeConn, tenant string) ([]TenantUsage, error) {
-	status, resp, err := c.roundTrip(ctx, OpUsage, tenant, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, remoteError(status, resp)
-	}
-	return decodeUsages(resp)
-}
-
-// EncodeNodeStat encodes a heartbeat payload (the node ID travels as the
-// frame key, not in the payload).
-func EncodeNodeStat(stat NodeStat) ([]byte, error) {
-	if len(stat.Addr) > MaxKeyLen {
-		return nil, fmt.Errorf("transport: node address too long (%d bytes)", len(stat.Addr))
-	}
-	for _, v := range []int64{stat.Capacity, stat.Used, stat.Segments, stat.DeadBytes} {
-		if v < 0 {
-			return nil, fmt.Errorf("transport: negative counter %d in heartbeat", v)
-		}
-	}
-	buf := make([]byte, 0, 1+2+len(stat.Addr)+4*8+4+len(stat.Tenants)*(2+16))
-	buf = append(buf, NodeStatVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(stat.Addr)))
-	buf = append(buf, stat.Addr...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(stat.Capacity))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(stat.Used))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(stat.Segments))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(stat.DeadBytes))
-	return appendUsages(buf, stat.Tenants)
-}
-
-// DecodeNodeStat decodes a heartbeat from its frame key (the node ID)
-// and payload.
-func DecodeNodeStat(id string, payload []byte) (NodeStat, error) {
-	if id == "" {
-		return NodeStat{}, errors.New("transport: heartbeat without a node id")
-	}
-	if len(payload) < 1 {
-		return NodeStat{}, errors.New("transport: empty heartbeat payload")
-	}
-	if payload[0] != NodeStatVersion {
-		return NodeStat{}, fmt.Errorf("transport: unsupported heartbeat version %d", payload[0])
-	}
-	rest := payload[1:]
-	addr, rest, err := takeKey(rest)
-	if err != nil {
-		return NodeStat{}, err
-	}
-	stat := NodeStat{ID: id, Addr: addr}
-	for _, dst := range []*int64{&stat.Capacity, &stat.Used, &stat.Segments, &stat.DeadBytes} {
-		*dst, rest, err = takeCounter(rest)
-		if err != nil {
-			return NodeStat{}, err
-		}
-	}
-	stat.Tenants, rest, err = takeUsages(rest)
-	if err != nil {
-		return NodeStat{}, err
-	}
-	if len(rest) != 0 {
-		return NodeStat{}, fmt.Errorf("transport: %d trailing bytes in heartbeat", len(rest))
-	}
-	return stat, nil
-}
-
-// appendUsages appends count(4) followed by one usage record per entry.
-func appendUsages(buf []byte, usages []TenantUsage) ([]byte, error) {
-	if len(usages) > MaxBatchEntries {
-		return nil, fmt.Errorf("transport: %d usage entries exceed limit %d", len(usages), MaxBatchEntries)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(usages)))
-	for _, u := range usages {
-		if len(u.Tenant) > MaxKeyLen {
-			return nil, fmt.Errorf("transport: tenant id too long (%d bytes)", len(u.Tenant))
-		}
-		if u.Bytes < 0 || u.Blocks < 0 {
-			return nil, fmt.Errorf("transport: negative usage for tenant %q", u.Tenant)
-		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(u.Tenant)))
-		buf = append(buf, u.Tenant...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(u.Bytes))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(u.Blocks))
-	}
-	return buf, nil
-}
-
-func encodeUsages(usages []TenantUsage) ([]byte, error) {
-	return appendUsages(make([]byte, 0, 4+len(usages)*(2+16)), usages)
-}
-
-// takeUsages parses count(4) usage records off rest, returning the
-// remainder.
-func takeUsages(rest []byte) ([]TenantUsage, []byte, error) {
-	count, rest, err := batchHeader(rest)
-	if err != nil {
-		return nil, nil, err
-	}
-	usages := make([]TenantUsage, 0, count)
-	for n := 0; n < count; n++ {
-		var u TenantUsage
-		u.Tenant, rest, err = takeKey(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		u.Bytes, rest, err = takeCounter(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		u.Blocks, rest, err = takeCounter(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		usages = append(usages, u)
-	}
-	return usages, rest, nil
-}
-
-func decodeUsages(payload []byte) ([]TenantUsage, error) {
-	usages, rest, err := takeUsages(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes in usage list", len(rest))
-	}
-	return usages, nil
-}
-
-// takeCounter reads one uint64 counter that must fit int64 — a frame
-// carrying a "negative" counter is malformed, not a huge value.
-func takeCounter(rest []byte) (int64, []byte, error) {
-	if len(rest) < 8 {
-		return 0, nil, errors.New("transport: truncated counter")
-	}
-	v := binary.BigEndian.Uint64(rest)
-	if v > math.MaxInt64 {
-		return 0, nil, fmt.Errorf("transport: counter %d overflows int64", v)
-	}
-	return int64(v), rest[8:], nil
 }

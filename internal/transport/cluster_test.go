@@ -203,7 +203,7 @@ func TestClusterHandlerErrorsTravelTyped(t *testing.T) {
 }
 
 func TestNodeStatCodecRejectsMalformed(t *testing.T) {
-	good, err := EncodeNodeStat(NodeStat{ID: "n", Addr: "a:1", Capacity: 1,
+	good, err := encodeControl(NodeStat{ID: "n", Addr: "a:1", Capacity: 1,
 		Tenants: []TenantUsage{{Tenant: "t", Bytes: 1, Blocks: 1}}})
 	if err != nil {
 		t.Fatal(err)
@@ -218,16 +218,23 @@ func TestNodeStatCodecRejectsMalformed(t *testing.T) {
 		{"bad version", "n", append([]byte{99}, good[1:]...)},
 		{"truncated", "n", good[:len(good)-1]},
 		{"trailing", "n", append(append([]byte{}, good...), 0)},
+		{"id in body", "n", []byte("\x02{\"ID\":\"m\"}")},
+		{"counter overflows int64", "n", []byte("\x02{\"used\":9223372036854775808}")},
+		{"fractional counter", "n", []byte("\x02{\"used\":1.5}")},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeNodeStat(tc.id, tc.payload); err == nil {
+		stat := NodeStat{ID: tc.id}
+		if err := decodeControl(tc.payload, &stat); err == nil {
 			t.Errorf("%s: decode accepted malformed heartbeat", tc.name)
 		}
 	}
-	if _, err := EncodeNodeStat(NodeStat{ID: "n", Used: -1}); err == nil {
+	if _, err := encodeControl(NodeStat{ID: "n", Used: -1}); err == nil {
 		t.Error("encode accepted negative counter")
 	}
-	if _, err := encodeUsages([]TenantUsage{{Tenant: "t", Bytes: -1}}); err == nil {
+	if _, err := encodeControl(NodeStat{Addr: "a:1"}); err == nil {
+		t.Error("encode accepted heartbeat without a node id")
+	}
+	if _, err := encodeControl(usageReply{Tenants: []TenantUsage{{Tenant: "t", Bytes: -1}}}); err == nil {
 		t.Error("encode accepted negative usage")
 	}
 }

@@ -65,17 +65,17 @@ func FuzzReadRequest(f *testing.F) {
 // namespace prefix.
 func FuzzHelloFrame(f *testing.F) {
 	// Well-formed handshakes.
-	f.Add([]byte("alice"), []byte{HelloVersion})
-	f.Add([]byte(""), []byte{HelloVersion})
-	f.Add([]byte("user-42.backup_set"), []byte{HelloVersion})
+	f.Add([]byte("alice"), []byte{ControlVersion})
+	f.Add([]byte(""), []byte{ControlVersion})
+	f.Add([]byte("user-42.backup_set"), []byte{ControlVersion})
 	// Hostile seeds: wrong version, empty payload, trailing bytes,
 	// namespace-escape attempts, oversized IDs.
-	f.Add([]byte("alice"), []byte{HelloVersion + 1})
+	f.Add([]byte("alice"), []byte{ControlVersion + 1})
 	f.Add([]byte("alice"), []byte{})
-	f.Add([]byte("alice"), []byte{HelloVersion, 0xFF})
-	f.Add([]byte("alice/../bob"), []byte{HelloVersion})
-	f.Add([]byte("!tenant/bob"), []byte{HelloVersion})
-	f.Add(bytes.Repeat([]byte("a"), tenant.MaxIDLen+1), []byte{HelloVersion})
+	f.Add([]byte("alice"), []byte{ControlVersion, 0xFF})
+	f.Add([]byte("alice/../bob"), []byte{ControlVersion})
+	f.Add([]byte("!tenant/bob"), []byte{ControlVersion})
+	f.Add(bytes.Repeat([]byte("a"), tenant.MaxIDLen+1), []byte{ControlVersion})
 
 	f.Fuzz(func(t *testing.T, id, payload []byte) {
 		var frame bytes.Buffer
@@ -89,9 +89,10 @@ func FuzzHelloFrame(f *testing.F) {
 		if op != OpHello || key != string(id) || !bytes.Equal(pl, payload) {
 			t.Fatal("handshake frame round trip not stable")
 		}
-		version, verr := parseHello(pl)
-		if verr == nil && version != HelloVersion {
-			t.Fatalf("parseHello accepted version %d", version)
+		if decodeControl(pl, nil) == nil {
+			if re, err := encodeControl(nil); err != nil || !bytes.Equal(re, pl) {
+				t.Fatalf("handshake accepted payload %x", pl)
+			}
 		}
 		iderr := tenant.ValidateID(key)
 		if iderr != nil {

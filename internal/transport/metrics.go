@@ -8,38 +8,19 @@
 // handles are resolved once at package init; the per-request cost is a
 // clock read and a few uncontended atomic adds.
 //
-// Export side: OpMetrics is a control op like OpNodeStat. The request
-// carries no key and no payload; the response payload is
-//
-//	metrics := version(1) json
-//
-// where json is the encoding/json form of obs.Snapshot. The version
-// byte is the wire framing version (MetricsVersion); the snapshot
-// carries its own layout version inside the JSON. Both are checked on
-// decode and unknown values fail closed, mirroring the heartbeat
-// frame's discipline: an incompatible future snapshot is an error, not
-// a half-parsed dashboard.
+// Export side: OpMetrics is a bodiless control query (control.go) with
+// an empty key. Its reply is the JSON obs.Snapshot, held to the
+// snapshot's own layout version and to the histogram bucket bound.
 package transport
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"time"
 
 	"aecodes/internal/obs"
 )
-
-// OpMetrics asks a node for its process metrics snapshot (see
-// metrics.go): empty key and payload, response carries a versioned
-// JSON obs.Snapshot.
-const OpMetrics byte = 10
-
-// MetricsVersion is the OpMetrics payload framing version this build
-// speaks. Servers always answer with it; clients refuse others.
-const MetricsVersion byte = 1
 
 // opMetrics is one operation's instrumentation handles.
 type opMetrics struct {
@@ -107,15 +88,32 @@ func init() {
 	}
 }
 
-// serveMetrics answers one OpMetrics frame with the process-global
-// registry's snapshot. The request must be empty on both key and
-// payload — there is nothing to parameterise, and refusing stray bytes
-// keeps the op closed against future half-compatible callers.
-func (s *Server) serveMetrics(conn net.Conn, key string, payload []byte) error {
-	if key != "" || len(payload) != 0 {
-		return writeResponse(conn, StatusError, []byte("transport: metrics request carries data"))
+// metricsReply is the OpMetrics response body.
+type metricsReply obs.Snapshot
+
+func (m metricsReply) validate() error {
+	if m.Version != obs.SnapshotVersion {
+		return fmt.Errorf("transport: unsupported metrics snapshot layout %d", m.Version)
 	}
-	resp, err := EncodeMetrics(obs.Default.Snapshot())
+	for key, h := range m.Hists {
+		if len(h.Buckets) > obs.NumBuckets {
+			return fmt.Errorf("transport: histogram %q carries %d buckets (max %d)", key, len(h.Buckets), obs.NumBuckets)
+		}
+	}
+	return nil
+}
+
+// serveMetrics answers one OpMetrics frame with the process-global
+// registry's snapshot. A key or a request body is refused: there is
+// nothing to parameterise.
+func (s *Server) serveMetrics(conn net.Conn, key string, payload []byte) error {
+	if key != "" {
+		return writeResponse(conn, StatusError, []byte("transport: metrics request carries a key"))
+	}
+	if err := decodeControl(payload, nil); err != nil {
+		return writeResponse(conn, StatusError, []byte(err.Error()))
+	}
+	resp, err := encodeControl(metricsReply(obs.Default.Snapshot()))
 	if err != nil {
 		return writeResponse(conn, StatusError, []byte(err.Error()))
 	}
@@ -125,58 +123,10 @@ func (s *Server) serveMetrics(conn net.Conn, key string, payload []byte) error {
 // Metrics fetches the node's process metrics snapshot.
 func (p *PoolClient) Metrics(ctx context.Context) (obs.Snapshot, error) {
 	return withConnValue(ctx, p, func(c *pipeConn) (obs.Snapshot, error) {
-		return metricsOp(ctx, c)
+		var reply metricsReply
+		err := queryControl(ctx, c, OpMetrics, "", &reply)
+		return obs.Snapshot(reply), err
 	})
-}
-
-func metricsOp(ctx context.Context, c *pipeConn) (obs.Snapshot, error) {
-	status, resp, err := c.roundTrip(ctx, OpMetrics, "", nil)
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	if status != StatusOK {
-		return obs.Snapshot{}, remoteError(status, resp)
-	}
-	return DecodeMetrics(resp)
-}
-
-// EncodeMetrics encodes a snapshot into an OpMetrics response payload.
-func EncodeMetrics(snap obs.Snapshot) ([]byte, error) {
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode metrics: %w", err)
-	}
-	if 1+len(raw) > MaxPayloadLen {
-		return nil, fmt.Errorf("transport: metrics snapshot too large (%d bytes)", len(raw))
-	}
-	buf := make([]byte, 0, 1+len(raw))
-	buf = append(buf, MetricsVersion)
-	return append(buf, raw...), nil
-}
-
-// DecodeMetrics decodes an OpMetrics response payload. It fails closed:
-// unknown framing versions, unknown snapshot layout versions, malformed
-// JSON and over-long histogram bucket arrays are all errors.
-func DecodeMetrics(payload []byte) (obs.Snapshot, error) {
-	if len(payload) < 1 {
-		return obs.Snapshot{}, errors.New("transport: empty metrics payload")
-	}
-	if payload[0] != MetricsVersion {
-		return obs.Snapshot{}, fmt.Errorf("transport: unsupported metrics version %d", payload[0])
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(payload[1:], &snap); err != nil {
-		return obs.Snapshot{}, fmt.Errorf("transport: decode metrics: %w", err)
-	}
-	if snap.Version != obs.SnapshotVersion {
-		return obs.Snapshot{}, fmt.Errorf("transport: unsupported metrics snapshot layout %d", snap.Version)
-	}
-	for key, h := range snap.Hists {
-		if len(h.Buckets) > obs.NumBuckets {
-			return obs.Snapshot{}, fmt.Errorf("transport: histogram %q carries %d buckets (max %d)", key, len(h.Buckets), obs.NumBuckets)
-		}
-	}
-	return snap, nil
 }
 
 // recordServed charges one served request to the op's metrics; called

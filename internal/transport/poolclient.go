@@ -137,7 +137,7 @@ func (p *PoolClient) dialConn() (*pipeConn, error) {
 	tenant := p.tenant
 	p.mu.Unlock()
 	if tenant != "" {
-		if err := helloConn(pc, tenant); err != nil {
+		if err := helloConn(context.Background(), pc, tenant); err != nil {
 			pc.close()
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func (p *PoolClient) dialConn() (*pipeConn, error) {
 	return pc, nil
 }
 
-// helloTimeout bounds the dial-path handshake. Without it a node that
+// helloTimeout bounds every handshake. Without it a node that
 // accepts TCP but never answers would pin the redial goroutine on an
 // un-slotted connection forever — and PoolClient.Close, which waits for
 // redial goroutines, with it. The cap applies even when the pool has no
@@ -155,11 +155,11 @@ const helloTimeout = 10 * time.Second
 
 // helloConn performs the tenant handshake on one connection. The
 // handshake rides the normal FIFO request stream, so it needs no special
-// sequencing — it is simply the connection's first request.
-func helloConn(pc *pipeConn, tenant string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), helloTimeout)
+// sequencing — on a fresh connection it is simply the first request.
+func helloConn(ctx context.Context, pc *pipeConn, tenant string) error {
+	ctx, cancel := context.WithTimeout(ctx, helloTimeout)
 	defer cancel()
-	status, payload, err := pc.roundTrip(ctx, OpHello, tenant, []byte{HelloVersion})
+	status, payload, err := pc.roundTrip(ctx, OpHello, tenant, []byte{ControlVersion})
 	if err != nil {
 		return err
 	}
@@ -195,15 +195,8 @@ func (p *PoolClient) Hello(ctx context.Context, tenant string) error {
 			// An anonymous credential cannot un-handshake a live
 			// connection; recycle it so the redial comes up anonymous.
 			pc.close()
-		} else {
-			status, payload, herr := pc.roundTrip(ctx, OpHello, tenant, []byte{HelloVersion})
-			switch {
-			case herr != nil:
-				err = herr
-			case status != StatusOK:
-				err = fmt.Errorf("transport: handshake as %q refused: %w", tenant, remoteError(status, payload))
-				pc.close() // never leave a conn on a stale tenant in rotation
-			}
+		} else if err = helloConn(ctx, pc, tenant); err != nil {
+			pc.close() // never leave a conn on a stale tenant in rotation
 		}
 		if err != nil && first == nil {
 			first = err

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
@@ -94,56 +93,6 @@ func TestHelloTenantIsolation(t *testing.T) {
 	}
 	if got, err := alice.GetMany(ctx, []string{"b1"}); err != nil || string(got[0]) != "x" {
 		t.Errorf("alice's batch block = %q (err %v)", got[0], err)
-	}
-}
-
-// TestHelloVersionGate pins the version gate and the single-tenant
-// fallback at frame level: an anonymous hello against a resolver-less
-// node succeeds, a named one is refused, a bad version is refused, and
-// the server keeps the connection open after each refusal.
-func TestHelloVersionGate(t *testing.T) {
-	srv, err := NewServer(NewMemStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	// Raw frames, not a PoolClient: the pool deliberately recycles a
-	// connection whose handshake was refused, which would hide whether
-	// the server kept it open.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	exchange := func(op byte, key string, payload []byte) (byte, []byte) {
-		t.Helper()
-		if err := writeRequest(conn, op, key, payload); err != nil {
-			t.Fatal(err)
-		}
-		status, resp, err := readResponse(conn)
-		if err != nil {
-			t.Fatalf("connection dead after op %d: %v", op, err)
-		}
-		return status, resp
-	}
-	if status, resp := exchange(OpHello, "", []byte{HelloVersion}); status != StatusOK {
-		t.Errorf("anonymous hello against a single-tenant node = status %d (%q), want StatusOK", status, resp)
-	}
-	if status, _ := exchange(OpHello, "alice", []byte{HelloVersion}); status != StatusError {
-		t.Errorf("named hello against a single-tenant node = status %d, want StatusError", status)
-	}
-	// A wrong version must be refused even where the tenant would be fine.
-	if status, resp := exchange(OpHello, "", []byte{HelloVersion + 1}); status != StatusError {
-		t.Errorf("v%d handshake got status %d (%q), want StatusError", HelloVersion+1, status, resp)
-	}
-	// The connection survives refused handshakes.
-	if status, resp := exchange(OpPut, "still", []byte("alive")); status != StatusOK {
-		t.Errorf("Put after refused handshakes = status %d (%q), want StatusOK", status, resp)
 	}
 }
 

@@ -12,7 +12,9 @@
 // block, OpDel removes one; OpPutMany/OpGetMany move batches and
 // OpStatMany answers presence-only flags (see batch.go); OpHello is the
 // version-gated tenant handshake — the key names a tenant, and the rest
-// of the connection serves that tenant's namespace. Status is StatusOK,
+// of the connection serves that tenant's namespace. OpHello, OpNodeStat,
+// OpUsage and OpMetrics are control ops whose payloads share one
+// versioned codec (see control.go). Status is StatusOK,
 // StatusNotFound, StatusQuota (admission control refused a write) or
 // StatusError (payload carries the error text). Every request is framed
 // and independent; connections are persistent, serve any number of
@@ -44,8 +46,8 @@ const (
 	// in a single exchange.
 	OpPutMany byte = 4
 	OpGetMany byte = 5
-	// OpHello is the tenant handshake (see hello.go): the key carries a
-	// tenant ID, the payload a protocol version, and every later request
+	// OpHello is the tenant handshake (see serveHello): the key carries a
+	// tenant ID, the payload the control version, and every later request
 	// on the connection runs against that tenant's namespace. Connections
 	// that never send it — every pre-handshake client — serve the default
 	// (anonymous) tenant, so old clients keep working against new nodes.
@@ -61,6 +63,10 @@ const (
 	// OpUsage answers per-tenant byte/block usage (see cluster.go): the
 	// key names a tenant ("" = all), the response lists usage records.
 	OpUsage byte = 9
+	// OpMetrics asks a node for its process metrics snapshot (see
+	// metrics.go): empty key, the response carries the JSON
+	// obs.Snapshot.
+	OpMetrics byte = 10
 )
 
 // Response statuses.
@@ -74,11 +80,6 @@ const (
 	// write cannot succeed until space is freed.
 	StatusQuota byte = 3
 )
-
-// HelloVersion is the tenant handshake protocol version this build
-// speaks. A server refuses other versions with StatusError, so a future
-// incompatible handshake fails closed instead of half-working.
-const HelloVersion byte = 1
 
 // Limits protect both sides from malformed frames.
 const (
@@ -549,8 +550,7 @@ func (s *Server) Inflight() int {
 // handshake downgrades to the tenant the connection already had, it
 // never grants a different one.
 func (s *Server) serveHello(conn net.Conn, cur connView, tenant string, payload []byte) (connView, error) {
-	version, err := parseHello(payload)
-	if err != nil {
+	if err := decodeControl(payload, nil); err != nil {
 		return cur, writeResponse(conn, StatusError, []byte(err.Error()))
 	}
 	s.mu.Lock()
@@ -563,7 +563,7 @@ func (s *Server) serveHello(conn net.Conn, cur connView, tenant string, payload 
 		// Anonymous hello against a single-tenant node: a no-op, so a
 		// credentialed client can still talk to an un-upgraded node when
 		// its credential is empty.
-		return cur, writeResponse(conn, StatusOK, []byte{version})
+		return cur, writeResponse(conn, StatusOK, []byte{ControlVersion})
 	}
 	view, rerr := resolver(tenant)
 	if rerr != nil {
@@ -572,23 +572,7 @@ func (s *Server) serveHello(conn net.Conn, cur connView, tenant string, payload 
 	if view == nil {
 		return cur, writeResponse(conn, StatusError, []byte("transport: resolver returned no store"))
 	}
-	return viewOf(view), writeResponse(conn, StatusOK, []byte{version})
-}
-
-// parseHello validates an OpHello payload and returns the negotiated
-// version. The payload is version(1) followed by reserved bytes future
-// versions may define; version 1 must not carry any.
-func parseHello(payload []byte) (byte, error) {
-	if len(payload) < 1 {
-		return 0, errors.New("transport: empty handshake payload")
-	}
-	if payload[0] != HelloVersion {
-		return 0, fmt.Errorf("transport: unsupported handshake version %d", payload[0])
-	}
-	if len(payload) > 1 {
-		return 0, fmt.Errorf("transport: %d trailing bytes in v%d handshake", len(payload)-1, HelloVersion)
-	}
-	return payload[0], nil
+	return viewOf(view), writeResponse(conn, StatusOK, []byte{ControlVersion})
 }
 
 // Close stops the server and waits for in-flight connections to finish. It
